@@ -68,6 +68,14 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _net_inputs(features, path, nets):
+    """features, once their width is checked against the saved nets."""
+    if features.shape[1] != nets[0].input_dim:
+        raise ConfigError(f"{path} has {features.shape[1]} feature columns, "
+                          f"the saved nets take {nets[0].input_dim}")
+    return features
+
+
 def _cmd_ood_eval(args) -> int:
     run_dir = Path(args.run_dir)
     config = RunConfig.from_json(run_dir / "config.json")
@@ -76,13 +84,14 @@ def _cmd_ood_eval(args) -> int:
         raise FileNotFoundError(f"no saved models under {run_dir / 'models'}")
     nets = [load_model(p) for p in model_paths]
     if args.id_csv:
-        id_inputs = data_mod.read_dataset_csv(args.id_csv).features
+        id_inputs = _net_inputs(data_mod.read_dataset_csv(args.id_csv).features,
+                                args.id_csv, nets)
     else:
         _, test_set, _, _ = build_datasets(config)
         id_inputs = test_set.features
     results = {}
     for ood_csv in args.ood_csv:
-        ood_inputs = data_mod.read_features_csv(ood_csv)
+        ood_inputs = _net_inputs(data_mod.read_features_csv(ood_csv), ood_csv, nets)
         results[Path(ood_csv).stem] = evaluate_ood(nets, id_inputs, ood_inputs,
                                                    config.energy_temperature)
     text = json.dumps(results, indent=2, sort_keys=True)

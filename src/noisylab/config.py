@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 from dataclasses import dataclass
 
 from .data import GENERATORS, NOISE_MODES
@@ -63,7 +64,6 @@ class RunConfig:
     disable_vos: bool = False
     disable_cl: bool = False
     single_network: bool = False
-    envelope_per_class: bool = False
     # augmentation
     weak_jitter: float = 0.05
     strong_scale_low: float = 0.8
@@ -132,15 +132,9 @@ class RunConfig:
             if not ok:
                 raise ConfigError(message)
         if self.noise_mode == "asymmetric" and self.noise_rate > 0.5:
-            import logging
-
             logging.getLogger(__name__).warning(
                 "asymmetric noise rate %.2f > 0.5: the flipped class becomes the majority",
                 self.noise_rate)
-
-    @property
-    def main_epochs(self) -> int:
-        return self.total_epochs - self.warmup_epochs
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":

@@ -264,16 +264,19 @@ def write_dataset_csv(dataset: LabeledDataset, path) -> None:
 def read_dataset_csv(path) -> LabeledDataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[:3] != ["id", "true_label", "noisy_label"]:
             raise ConfigError(f"unexpected dataset header in {path}")
         ids, true_l, noisy_l, feats = [], [], [], []
-        for row in reader:
-            ids.append(int(row[0]))
-            true_l.append(int(row[1]))
-            noisy_l.append(int(row[2]))
-            feats.append([float(v) for v in row[3:]])
-    return LabeledDataset(np.array(ids), np.array(feats, dtype=np.float64),
+        try:
+            for row in reader:
+                ids.append(int(row[0]))
+                true_l.append(int(row[1]))
+                noisy_l.append(int(row[2]))
+                feats.append([float(v) for v in row[3:]])
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from exc
+    return LabeledDataset(np.array(ids), _feature_matrix(path, feats, len(header) - 3),
                           np.array(true_l), np.array(noisy_l))
 
 
@@ -289,7 +292,26 @@ def write_features_csv(features: np.ndarray, path) -> None:
 def read_features_csv(path) -> np.ndarray:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[0] != "id":
+        header = next(reader, [])
+        if header[:1] != ["id"]:
             raise ConfigError(f"unexpected feature header in {path}")
-        return np.array([[float(v) for v in row[1:]] for row in reader], dtype=np.float64)
+        try:
+            rows = [[float(v) for v in row[1:]] for row in reader]
+        except ValueError as exc:
+            raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from exc
+    return _feature_matrix(path, rows, len(header) - 1)
+
+
+def _feature_matrix(path, rows: list, width: int) -> np.ndarray:
+    """Rows as an (n, width) array; ConfigError naming the first bad line."""
+    if not rows:
+        raise ConfigError(f"{path} holds no data rows")
+    try:
+        out = np.array(rows, dtype=np.float64)
+    except ValueError:  # ragged rows
+        out = None
+    if out is None or out.shape[1] != width:
+        line, row = next((i, r) for i, r in enumerate(rows, start=2) if len(r) != width)
+        raise ConfigError(f"{path}, line {line}: {len(row)} feature values, "
+                          f"the header names {width}")
+    return out

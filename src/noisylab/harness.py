@@ -10,6 +10,7 @@ a sidecar meta file) so report bytes are reproducible.
 
 from __future__ import annotations
 
+import csv
 import json
 import time
 from dataclasses import dataclass, field
@@ -194,6 +195,13 @@ REPORT_SCHEMA = {
     },
 }
 
+#: every per-epoch record carries all of these keys, null when not measured
+_EPOCH_KEYS = tuple(REPORT_SCHEMA["properties"]["epochs"]["items"]["properties"])
+
+
+def _mean_or_none(values: list) -> float | None:
+    return float(np.mean(values)) if values else None
+
 
 @dataclass
 class RunReport:
@@ -309,25 +317,22 @@ class Experiment:
             support = partition.support_set(self.sel_states[k])
             fallback = support.size == 0
             train_labeled = labeled_ids if fallback else support
-            mask = np.zeros(cfg.n_train, dtype=bool)
-            mask[train_labeled] = True
-            train_unlabeled = np.arange(cfg.n_train)[~mask]
+            train_unlabeled = np.arange(cfg.n_train)[~self._id_mask(train_labeled)]
 
             geo = self._epoch_geometry(net, support, epoch) if not cfg.disable_vos else None
             stats = self._train_net(k, net, train_labeled, train_unlabeled, w,
                                     support, geo, main_idx, epoch)
+            batch_terms = stats.pop("first_batch_terms")
             if k == 0:
-                first_batch_terms = stats.pop("first_batch_terms")
-            else:
-                stats.pop("first_batch_terms")
-            sel = metrics.selection_metrics(self._support_mask(support), self.dataset.clean_mask)
+                first_batch_terms = batch_terms
+            sel = metrics.selection_metrics(self._id_mask(support), self.dataset.clean_mask)
             per_net.append({
                 "n_labeled": len(labeled_ids), "n_support": len(support),
                 "fallback": fallback, "selection": sel, "geometry": geo, "stats": stats,
                 "support": support,
             })
             if cfg.dump_selection:
-                in_support = self._support_mask(support)
+                in_support = self._id_mask(support)
                 for i in range(cfg.n_train):
                     self._selection_rows[k].append(
                         [epoch, i, norm_losses[peer][i], w[i], int(in_support[i])])
@@ -338,9 +343,10 @@ class Experiment:
             self._export_features(epoch, per_net[0]["geometry"])
         return record
 
-    def _support_mask(self, support_ids) -> np.ndarray:
+    def _id_mask(self, ids) -> np.ndarray:
+        """Boolean mask over the training set, True at ids."""
         mask = np.zeros(self.config.n_train, dtype=bool)
-        mask[support_ids] = True
+        mask[ids] = True
         return mask
 
     def _epoch_geometry(self, net, support_ids, epoch):
@@ -359,31 +365,10 @@ class Experiment:
         else:
             tau = cfg.tau_rej
         n_cand = int(min(cfg.n_cand_factor * len(support_ids), cfg.n_cand_cap))
-        if cfg.envelope_per_class:
-            candidates = self._per_class_candidates(feats, labels, centroids, n_cand, epoch)
-        else:
-            candidates = geometry.sample_candidates(envelope, centroids, feats, labels,
-                                                    n_cand, cfg.sampler,
-                                                    self.streams["geometry"])
+        candidates = geometry.sample_candidates(envelope, centroids, feats, labels, n_cand,
+                                                cfg.sampler, self.streams["geometry"])
         batch = geometry.filter_outliers(candidates, centroids, tau, cfg.sampler)
         return {"envelope": envelope, "centroids": centroids, "outliers": batch, "tau": tau}
-
-    def _per_class_candidates(self, feats, labels, centroids, n_cand, epoch):
-        # unvalidated variant: per-class envelopes, counts proportional to size
-        counts = np.array([(labels == c).sum() for c in centroids.class_ids], dtype=float)
-        alloc = np.floor(n_cand * counts / counts.sum()).astype(int)
-        for i in range(n_cand - alloc.sum()):
-            alloc[i % len(alloc)] += 1
-        parts = []
-        for c, n_c in zip(centroids.class_ids, alloc):
-            if n_c == 0:
-                continue
-            sub = feats[labels == c]
-            env_c = geometry.estimate_envelope(sub, epoch)
-            parts.append(geometry.sample_candidates(
-                env_c, centroids, sub, np.full(len(sub), c), int(n_c),
-                self.config.sampler, self.streams["geometry"]))
-        return np.vstack(parts)
 
     def _train_net(self, k, net, labeled_ids, unlabeled_ids, w, support_ids, geo,
                    main_idx, epoch):
@@ -392,8 +377,7 @@ class Experiment:
         lam_cl = 0.0 if cfg.disable_cl else cfg.lambda_cl
         lam_energy = 0.0 if cfg.disable_vos else cfg.lambda_energy
         outliers = geo["outliers"].features if geo is not None else np.empty((0, net.feature_dim))
-        term_sums = {"labeled": 0.0, "unlabeled": 0.0, "prior": 0.0,
-                     "contrastive": 0.0, "energy": 0.0}
+        term_sums = dict.fromkeys(nn.LOSS_TERMS, 0.0)
         total_sum = 0.0
         first_batch_terms = None
 
@@ -490,24 +474,14 @@ class Experiment:
 
     @staticmethod
     def _record(**kwargs) -> dict:
-        base = {
-            "epoch": None, "phase": None, "loss_total": None, "loss_labeled": None,
-            "loss_unlabeled": None, "loss_prior": None, "loss_contrastive": None,
-            "loss_energy": None, "n_labeled": None, "n_support": None,
-            "support_fallback": None, "selection_precision": None,
-            "selection_recall": None, "selection_f1": None, "envelope_log_volume": None,
-            "n_candidates": None, "n_outliers": None, "tau_rej_effective": None,
-            "mean_energy_clean": None, "mean_energy_outlier": None,
-            "test_accuracy": None, "first_batch_terms": None,
-        }
-        base.update(kwargs)
-        return base
+        record = dict.fromkeys(_EPOCH_KEYS)
+        record.update(kwargs)
+        return record
 
     def _epoch_record(self, epoch, per_net, first_batch_terms) -> dict:
         stats = [p["stats"] for p in per_net]
         mean_stat = {name: float(np.mean([s[name] for s in stats]))
-                     for name in ("total", "labeled", "unlabeled", "prior",
-                                  "contrastive", "energy")}
+                     for name in ("total",) + nn.LOSS_TERMS}
         sels = [p["selection"] for p in per_net]
         precisions = [s.precision for s in sels if s.precision is not None]
         geo_present = [p["geometry"] for p in per_net if p["geometry"] is not None]
@@ -521,18 +495,13 @@ class Experiment:
             n_labeled=float(np.mean([p["n_labeled"] for p in per_net])),
             n_support=float(np.mean([p["n_support"] for p in per_net])),
             support_fallback=any(p["fallback"] for p in per_net),
-            selection_precision=float(np.mean(precisions)) if precisions else None,
+            selection_precision=_mean_or_none(precisions),
             selection_recall=float(np.mean([s.recall for s in sels])),
             selection_f1=float(np.mean([s.f1 for s in sels])),
-            envelope_log_volume=(float(np.mean([g["envelope"].log_volume()
-                                                for g in geo_present]))
-                                 if geo_present else None),
-            n_candidates=(float(np.mean([g["outliers"].n_candidates for g in geo_present]))
-                          if geo_present else None),
-            n_outliers=(float(np.mean([g["outliers"].n_accepted for g in geo_present]))
-                        if geo_present else None),
-            tau_rej_effective=(float(np.mean([g["tau"] for g in geo_present]))
-                               if geo_present else None),
+            envelope_log_volume=_mean_or_none([g["envelope"].log_volume() for g in geo_present]),
+            n_candidates=_mean_or_none([g["outliers"].n_candidates for g in geo_present]),
+            n_outliers=_mean_or_none([g["outliers"].n_accepted for g in geo_present]),
+            tau_rej_effective=_mean_or_none([g["tau"] for g in geo_present]),
             mean_energy_clean=energy_clean, mean_energy_outlier=energy_outlier,
             test_accuracy=self._test_accuracy(),
             first_batch_terms=first_batch_terms,
@@ -567,12 +536,9 @@ class Experiment:
             if g is not None and g["outliers"].n_accepted:
                 out_vals.append(nn.energies(nn.head_forward(net, g["outliers"].features),
                                             cfg.energy_temperature).mean())
-        return (float(np.mean(clean_vals)) if clean_vals else None,
-                float(np.mean(out_vals)) if out_vals else None)
+        return _mean_or_none(clean_vals), _mean_or_none(out_vals)
 
     def _export_features(self, epoch, geo):
-        import csv
-
         out = self.out_dir / "features"
         out.mkdir(exist_ok=True)
         feats = nn.forward_batch(self.nets[0], self.view.features,
@@ -637,8 +603,6 @@ class Experiment:
         self.report.summary = summary
 
     def _write_outputs(self):
-        import csv
-
         out = self.out_dir
         (out / "report.json").write_bytes(self.report.canonical_json())
         (out / "config.json").write_text(

@@ -39,10 +39,6 @@ class SelectionMetrics:
     n_selected: int
     n_clean: int
 
-    @property
-    def precision_defined(self) -> bool:
-        return self.precision is not None
-
 
 def selection_metrics(selected: np.ndarray, clean: np.ndarray) -> SelectionMetrics:
     """Quality of a selected subset against the hidden clean mask.

@@ -5,9 +5,9 @@ before ``extractor_end`` form the feature extractor, layers in
 ``[extractor_end, classifier_end)`` the classifier head (K logits), and
 the remainder the projection head, whose output is L2-normalized.
 
-Everything runs in float64. Every loss implemented here has an analytic
-gradient path; the test suite checks all of them against central finite
-differences.
+Everything runs in float64. Each loss term is defined once, as a function
+returning its value and its analytic gradient; the test suite checks every
+term and the combined objective against central finite differences.
 """
 
 from __future__ import annotations
@@ -17,13 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, TrainingError
+from .errors import ParameterError, ShapeError
 
 log = logging.getLogger(__name__)
 
 ACTIVATIONS = ("relu", "identity")
 
 CE_EPS = 1e-12
+#: names of the training objective's terms, as `total_loss_and_grads` reports them
+LOSS_TERMS = ("labeled", "unlabeled", "prior", "contrastive", "energy")
 #: largest value a clamped BCE-on-energy term can take: -log(CE_EPS)
 ENERGY_BCE_CAP = -np.log(CE_EPS)
 
@@ -89,19 +91,6 @@ class DenseNet:
     def n_classes(self) -> int:
         return self.layers[self.classifier_end - 1].out_dim
 
-    @property
-    def projection_dim(self) -> int:
-        if self.classifier_end == len(self.layers):
-            raise ShapeError("network has no projection head")
-        return self.layers[-1].out_dim
-
-    def copy(self) -> "DenseNet":
-        return DenseNet(
-            [DenseLayer(l.weights.copy(), l.bias.copy(), l.activation) for l in self.layers],
-            self.extractor_end,
-            self.classifier_end,
-        )
-
 
 def build_network(input_dim: int, n_classes: int, hidden=(64, 64), projection_dim: int = 32,
                   rng: np.random.Generator | None = None) -> DenseNet:
@@ -145,6 +134,11 @@ class ForwardCache:
     degenerate_rows: np.ndarray | None = None
 
 
+def _empty_cache(net: DenseNet) -> ForwardCache:
+    return ForwardCache(inputs=[None] * len(net.layers), preacts=[None] * len(net.layers),
+                        features=np.empty(0))
+
+
 def _activate(pre: np.ndarray, activation: str) -> np.ndarray:
     if activation == "relu":
         return np.maximum(pre, 0.0)
@@ -185,8 +179,7 @@ def normalize_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def forward_batch(net: DenseNet, x: np.ndarray, *, want_logits: bool = True,
                   want_projection: bool = False) -> ForwardCache:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    cache = ForwardCache(inputs=[None] * len(net.layers), preacts=[None] * len(net.layers),
-                         features=np.empty(0))
+    cache = _empty_cache(net)
     cache.features = _run_segment(net, x, 0, net.extractor_end, cache)
     if want_logits:
         cache.logits = _run_segment(net, cache.features, net.extractor_end, net.classifier_end, cache)
@@ -203,19 +196,6 @@ def head_forward(net: DenseNet, features: np.ndarray, cache: ForwardCache | None
     return _run_segment(net, features, net.extractor_end, net.classifier_end, cache)
 
 
-def forward_features(net: DenseNet, x) -> np.ndarray:
-    return forward_batch(net, x, want_logits=False).features[0]
-
-
-def forward_logits(net: DenseNet, x) -> np.ndarray:
-    return forward_batch(net, x).logits[0]
-
-
-def forward_projection(net: DenseNet, x) -> np.ndarray:
-    cache = forward_batch(net, x, want_logits=False, want_projection=True)
-    return cache.projection[0]
-
-
 # ---------------------------------------------------------------------------
 # pointwise losses and the energy score
 
@@ -228,24 +208,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def gce_loss(probs: np.ndarray, y: int, q: float = 0.7) -> float:
-    """Generalized cross entropy (1 - p_y^q) / q for a single prediction."""
-    if q <= 0 or q > 1:
-        raise ParameterError(f"q must be in (0, 1], got {q}")
-    p = float(probs[y])
-    return (1.0 - p ** q) / q
-
-
 def gce_losses(probs: np.ndarray, y: np.ndarray, q: float = 0.7) -> np.ndarray:
+    """Per-sample generalized cross entropy (1 - p_y^q) / q."""
     if q <= 0 or q > 1:
         raise ParameterError(f"q must be in (0, 1], got {q}")
     p = probs[np.arange(len(y)), y]
     return (1.0 - p ** q) / q
-
-
-def cross_entropy(probs: np.ndarray, y: int) -> float:
-    """Standard -log p_y with an epsilon clamp."""
-    return float(-np.log(max(float(probs[y]), CE_EPS)))
 
 
 def soft_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
@@ -255,27 +223,14 @@ def soft_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
     return float(-(targets * np.log(np.maximum(probs, CE_EPS))).sum(axis=1).mean())
 
 
-def energy(logits: np.ndarray, temperature: float = 1.0) -> float:
-    """Scalar energy -T * logsumexp(logits / T), computed with a max shift."""
-    return float(energies(np.atleast_2d(logits), temperature)[0])
-
-
 def energies(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """Energy -T * logsumexp(logits / T) along the last axis, with a max shift."""
     if temperature <= 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
     scaled = np.asarray(logits, dtype=np.float64) / temperature
     m = scaled.max(axis=-1, keepdims=True)
     lse = m[..., 0] + np.log(np.exp(scaled - m).sum(axis=-1))
     return -temperature * lse
-
-
-def _energy_grad(logits: np.ndarray, temperature: float) -> np.ndarray:
-    # dE/dlogits = -softmax(logits / T), row-wise
-    return -softmax(logits / temperature)
-
-
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -360,68 +315,58 @@ def _softmax_chain(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# loss + gradient entry points
+# loss terms
+#
+# Each term returns (value, gradient). Terms on softmax probabilities
+# return the gradient w.r.t. the logits those probabilities came from;
+# NT-Xent returns it w.r.t. the unit projections, energy BCE w.r.t. the
+# logits it is given.
 
 
-def gce_loss_and_grads(net: DenseNet, x: np.ndarray, y: np.ndarray, q: float = 0.7):
-    """Mean GCE loss over the batch and its gradients."""
-    cache = forward_batch(net, x)
-    probs = softmax(cache.logits)
-    losses = gce_losses(probs, y, q)
-    value = float(losses.mean())
+def gce_term(probs: np.ndarray, y: np.ndarray, q: float):
+    """Mean generalized cross entropy over the batch."""
+    value = float(gce_losses(probs, y, q).mean())
     n = len(y)
     p_y = probs[np.arange(n), y]
     dlogits = probs * (p_y ** q)[:, None]
     dlogits[np.arange(n), y] -= p_y ** q
     dlogits /= n
-    bundle = GradientBundle.zeros(net, value)
-    backprop_logits(net, cache, dlogits, bundle)
-    return value, bundle
+    return value, dlogits
 
 
-def soft_ce_loss_and_grads(net: DenseNet, x: np.ndarray, targets: np.ndarray):
+def soft_ce_term(probs: np.ndarray, targets: np.ndarray):
     """Mean soft-target cross entropy over the batch."""
-    cache = forward_batch(net, x)
-    probs = softmax(cache.logits)
-    value = soft_cross_entropy(probs, targets)
-    dlogits = (probs - targets) / len(targets)
-    bundle = GradientBundle.zeros(net, value)
-    backprop_logits(net, cache, dlogits, bundle)
-    return value, bundle
+    return soft_cross_entropy(probs, targets), (probs - targets) / len(targets)
 
 
-def mse_prob_loss_and_grads(net: DenseNet, x: np.ndarray, targets: np.ndarray):
-    """Mean squared error between softmax outputs and soft targets.
+def mse_term(probs: np.ndarray, targets: np.ndarray):
+    """Mean squared error between probabilities and soft targets.
 
-    Per-sample value averages over classes, matching the convention of the
+    Per-sample value averages over classes, the convention of the
     semi-supervised consistency term.
     """
-    cache = forward_batch(net, x)
-    probs = softmax(cache.logits)
     n, k = probs.shape
     value = float(((probs - targets) ** 2).sum(axis=1).mean() / k)
     dprobs = 2.0 * (probs - targets) / (n * k)
-    bundle = GradientBundle.zeros(net, value)
-    backprop_logits(net, cache, _softmax_chain(probs, dprobs), bundle)
-    return value, bundle
+    return value, _softmax_chain(probs, dprobs)
 
 
-def prior_kl_loss_and_grads(net: DenseNet, x: np.ndarray):
+def prior_kl_term(probs: np.ndarray):
     """KL(uniform prior || batch-mean prediction)."""
-    cache = forward_batch(net, x)
-    probs = softmax(cache.logits)
     n, k = probs.shape
     pbar = probs.mean(axis=0)
     prior = 1.0 / k
     value = float((prior * np.log(prior / pbar)).sum())
     dprobs = np.tile(-prior / (n * pbar), (n, 1))
-    bundle = GradientBundle.zeros(net, value)
-    backprop_logits(net, cache, _softmax_chain(probs, dprobs), bundle)
-    return value, bundle
+    return value, _softmax_chain(probs, dprobs)
 
 
-def _ntxent_value_and_dproj(z: np.ndarray, temperature: float):
-    """NT-Xent loss over adjacent-pair projections; returns (value, dL/dz)."""
+def ntxent_term(z: np.ndarray, temperature: float):
+    """NT-Xent over unit projections ordered as adjacent view pairs.
+
+    Each anchor's positive is its pair partner; the denominator runs over
+    every other row. A single pair yields exactly zero.
+    """
     if temperature <= 0:
         raise ParameterError("contrastive temperature must be positive")
     m = len(z)
@@ -442,12 +387,30 @@ def _ntxent_value_and_dproj(z: np.ndarray, temperature: float):
     return value, dz
 
 
-def contrastive_loss_and_grads(net: DenseNet, views: np.ndarray, temperature: float = 0.5):
-    """NT-Xent over the projections of adjacent view pairs."""
-    cache = forward_batch(net, views, want_logits=False, want_projection=True)
-    value, dproj = _ntxent_value_and_dproj(cache.projection, temperature)
+def energy_bce_term(logits: np.ndarray, sign: float, temperature: float):
+    """Mean BCE on energies, clamped at -log(1e-12) per sample.
+
+    sign +1 pushes energies down: -log(1 - sigmoid(E)) = softplus(E);
+    sign -1 pushes them up: -log(sigmoid(E)) = softplus(-E).
+    """
+    e = energies(logits, temperature)
+    raw = np.logaddexp(0.0, sign * e)  # softplus
+    clipped = np.minimum(raw, ENERGY_BCE_CAP)
+    d_e = sign * _sigmoid(sign * e) * (raw < ENERGY_BCE_CAP) / len(e)
+    # dE/dlogits = -softmax(logits / T), row-wise
+    return float(clipped.mean()), d_e[:, None] * -softmax(logits / temperature)
+
+
+# ---------------------------------------------------------------------------
+# loss + gradient entry points
+
+
+def gce_loss_and_grads(net: DenseNet, x: np.ndarray, y: np.ndarray, q: float = 0.7):
+    """Mean GCE loss over the batch and its gradients."""
+    cache = forward_batch(net, x)
+    value, dlogits = gce_term(softmax(cache.logits), y, q)
     bundle = GradientBundle.zeros(net, value)
-    backprop_projection(net, cache, dproj, bundle)
+    backprop_logits(net, cache, dlogits, bundle)
     return value, bundle
 
 
@@ -459,43 +422,29 @@ def energy_bce_loss_and_grads(net: DenseNet, *, clean_inputs: np.ndarray | None 
 
     Clean samples enter either as raw inputs (gradients reach the
     extractor) or as fixed feature vectors (classifier head only).
-    Outliers are always feature-space points. Each BCE term is clamped at
-    -log(1e-12).
+    Outliers are always feature-space points.
     """
     if clean_inputs is not None and clean_features is not None:
         raise ParameterError("pass clean samples as inputs or features, not both")
     bundle = GradientBundle.zeros(net, 0.0)
     value = 0.0
 
-    def _term(logits, sign):
-        # sign +1: -log(1 - sigmoid(E)) = softplus(E); sign -1: -log(sigmoid(E)) = softplus(-E)
-        e = energies(logits, temperature)
-        raw = _softplus(sign * e)
-        clipped = np.minimum(raw, ENERGY_BCE_CAP)
-        d_e = sign * _sigmoid(sign * e) * (raw < ENERGY_BCE_CAP) / len(e)
-        dlogits = d_e[:, None] * _energy_grad(logits, temperature)
-        return float(clipped.mean()), dlogits
+    def _head_only(features, sign):
+        cache = _empty_cache(net)
+        term, dlogits = energy_bce_term(head_forward(net, features, cache), sign, temperature)
+        backprop_logits(net, cache, dlogits, bundle, into_extractor=False)
+        return term
 
     if clean_inputs is not None:
         cache = forward_batch(net, clean_inputs)
-        term, dlogits = _term(cache.logits, +1.0)
+        term, dlogits = energy_bce_term(cache.logits, +1.0, temperature)
         value += term
         backprop_logits(net, cache, dlogits, bundle)
     elif clean_features is not None and len(clean_features):
-        cache = ForwardCache(inputs=[None] * len(net.layers), preacts=[None] * len(net.layers),
-                             features=np.empty(0))
-        logits = head_forward(net, clean_features, cache)
-        term, dlogits = _term(logits, +1.0)
-        value += term
-        _backward_segment(net, cache, dlogits, net.extractor_end, net.classifier_end, bundle)
+        value += _head_only(clean_features, +1.0)
 
     if outlier_features is not None and len(outlier_features):
-        cache = ForwardCache(inputs=[None] * len(net.layers), preacts=[None] * len(net.layers),
-                             features=np.empty(0))
-        logits = head_forward(net, outlier_features, cache)
-        term, dlogits = _term(logits, -1.0)
-        value += term
-        _backward_segment(net, cache, dlogits, net.extractor_end, net.classifier_end, bundle)
+        value += _head_only(outlier_features, -1.0)
 
     bundle.loss = value
     return value, bundle
@@ -520,61 +469,53 @@ class TotalLossBatch:
     contrast_temperature: float = 0.5
 
 
+def _nonempty(a: np.ndarray | None) -> np.ndarray | None:
+    return a if a is not None and len(a) else None
+
+
 def total_loss_and_grads(net: DenseNet, batch: TotalLossBatch):
-    """Full training objective; returns (value, per-term dict, gradients)."""
-    terms = {"labeled": 0.0, "unlabeled": 0.0, "prior": 0.0, "contrastive": 0.0, "energy": 0.0}
+    """Full training objective; returns (value, per-term dict, gradients).
+
+    Every term's value is reported; a term's gradient is added only when
+    its weight is positive.
+    """
+    terms = dict.fromkeys(LOSS_TERMS, 0.0)
     bundle = GradientBundle.zeros(net)
 
     n_l = len(batch.labeled_inputs)
     if n_l == 0:
         raise ShapeError("labeled part of the batch must be nonempty")
-    has_u = batch.unlabeled_inputs is not None and len(batch.unlabeled_inputs) > 0
-    if has_u:
-        x_all = np.vstack([batch.labeled_inputs, batch.unlabeled_inputs])
-    else:
-        x_all = batch.labeled_inputs
+    unlabeled = _nonempty(batch.unlabeled_inputs)
+    x_all = (batch.labeled_inputs if unlabeled is None
+             else np.vstack([batch.labeled_inputs, unlabeled]))
     cache = forward_batch(net, x_all)
     probs = softmax(cache.logits)
-    k = probs.shape[1]
 
-    p_l = probs[:n_l]
-    terms["labeled"] = soft_cross_entropy(p_l, batch.labeled_targets)
     dlogits = np.zeros_like(probs)
-    dlogits[:n_l] = (p_l - batch.labeled_targets) / n_l
-
-    if has_u:
-        p_u = probs[n_l:]
-        n_u = len(p_u)
-        terms["unlabeled"] = float(((p_u - batch.unlabeled_targets) ** 2).sum(axis=1).mean() / k)
+    terms["labeled"], dlogits[:n_l] = soft_ce_term(probs[:n_l], batch.labeled_targets)
+    if unlabeled is not None:
+        terms["unlabeled"], d_u = mse_term(probs[n_l:], batch.unlabeled_targets)
         if batch.lambda_u > 0.0:
-            dprobs_u = 2.0 * (p_u - batch.unlabeled_targets) / (n_u * k)
-            dlogits[n_l:] += batch.lambda_u * _softmax_chain(p_u, dprobs_u)
-
-    n_all = len(probs)
-    pbar = probs.mean(axis=0)
-    prior = 1.0 / k
-    terms["prior"] = float((prior * np.log(prior / pbar)).sum())
+            dlogits[n_l:] += batch.lambda_u * d_u
+    terms["prior"], d_prior = prior_kl_term(probs)
     if batch.lambda_reg > 0.0:
-        dprobs = np.tile(-prior / (n_all * pbar), (n_all, 1))
-        dlogits += batch.lambda_reg * _softmax_chain(probs, dprobs)
-
+        dlogits += batch.lambda_reg * d_prior
     backprop_logits(net, cache, dlogits, bundle)
 
-    if batch.contrast_views is not None and len(batch.contrast_views):
-        c_cache = forward_batch(net, batch.contrast_views, want_logits=False, want_projection=True)
-        terms["contrastive"], dproj = _ntxent_value_and_dproj(c_cache.projection,
-                                                              batch.contrast_temperature)
+    views = _nonempty(batch.contrast_views)
+    if views is not None:
+        c_cache = forward_batch(net, views, want_logits=False, want_projection=True)
+        terms["contrastive"], dproj = ntxent_term(c_cache.projection,
+                                                  batch.contrast_temperature)
         if batch.lambda_cl > 0.0:
             scratch = GradientBundle.zeros(net)
             backprop_projection(net, c_cache, dproj, scratch)
             bundle.add_scaled(scratch, batch.lambda_cl)
 
-    if ((batch.support_inputs is not None and len(batch.support_inputs))
-            or (batch.outlier_features is not None and len(batch.outlier_features))):
-        si = batch.support_inputs if batch.support_inputs is not None and len(batch.support_inputs) else None
-        of = batch.outlier_features if batch.outlier_features is not None and len(batch.outlier_features) else None
+    support, outliers = _nonempty(batch.support_inputs), _nonempty(batch.outlier_features)
+    if support is not None or outliers is not None:
         terms["energy"], e_bundle = energy_bce_loss_and_grads(
-            net, clean_inputs=si, outlier_features=of, temperature=batch.temperature)
+            net, clean_inputs=support, outlier_features=outliers, temperature=batch.temperature)
         if batch.lambda_energy > 0.0:
             bundle.add_scaled(e_bundle, batch.lambda_energy)
 
@@ -583,50 +524,6 @@ def total_loss_and_grads(net: DenseNet, batch: TotalLossBatch):
              + batch.lambda_energy * terms["energy"])
     bundle.loss = value
     return value, terms, bundle
-
-
-@dataclass
-class TermBatch:
-    """Carrier for `backward`: only the fields the chosen loss needs are read."""
-
-    x: np.ndarray | None = None
-    y: np.ndarray | None = None
-    targets: np.ndarray | None = None
-    views: np.ndarray | None = None
-    clean_inputs: np.ndarray | None = None
-    clean_features: np.ndarray | None = None
-    outlier_features: np.ndarray | None = None
-    total: TotalLossBatch | None = None
-
-
-def backward(net: DenseNet, batch: TermBatch, loss_spec: str, *, q: float = 0.7,
-             temperature: float = 1.0, contrast_temperature: float = 0.5) -> GradientBundle:
-    """Analytic gradients for any implemented loss composition.
-
-    loss_spec is one of: ce, gce, mse, prior_kl, contrastive, energy_bce,
-    total.
-    """
-    if loss_spec == "gce":
-        value, bundle = gce_loss_and_grads(net, batch.x, batch.y, q)
-    elif loss_spec == "ce":
-        value, bundle = soft_ce_loss_and_grads(net, batch.x, batch.targets)
-    elif loss_spec == "mse":
-        value, bundle = mse_prob_loss_and_grads(net, batch.x, batch.targets)
-    elif loss_spec == "prior_kl":
-        value, bundle = prior_kl_loss_and_grads(net, batch.x)
-    elif loss_spec == "contrastive":
-        value, bundle = contrastive_loss_and_grads(net, batch.views, contrast_temperature)
-    elif loss_spec == "energy_bce":
-        value, bundle = energy_bce_loss_and_grads(
-            net, clean_inputs=batch.clean_inputs, clean_features=batch.clean_features,
-            outlier_features=batch.outlier_features, temperature=temperature)
-    elif loss_spec == "total":
-        value, _, bundle = total_loss_and_grads(net, batch.total)
-    else:
-        raise ParameterError(f"unknown loss spec {loss_spec!r}")
-    if not np.isfinite(value):
-        raise TrainingError(f"non-finite loss for spec {loss_spec!r}")
-    return bundle
 
 
 # ---------------------------------------------------------------------------

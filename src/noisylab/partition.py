@@ -32,9 +32,14 @@ class Gmm1d:
     log_likelihood_history: list[float] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.degenerate:
-            assert abs(self.weights.sum() - 1.0) <= 1e-9
-            assert (self.variances >= VARIANCE_FLOOR - 1e-15).all()
+        if self.degenerate:
+            return
+        # written as negations so that NaN parameters fail the checks too
+        if not abs(self.weights.sum() - 1.0) <= 1e-9:
+            raise ParameterError(f"mixture weights {self.weights} do not sum to 1")
+        if not (self.variances >= VARIANCE_FLOOR - 1e-15).all():
+            raise ParameterError(
+                f"variances {self.variances} fall below the floor {VARIANCE_FLOOR}")
 
 
 def _component_log_densities(x: np.ndarray, means, variances) -> np.ndarray:

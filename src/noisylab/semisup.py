@@ -1,34 +1,13 @@
 """Semi-supervised co-training pieces: label refinement, pseudo-label
-guessing with sharpening, MixUp, vector-data augmentations, and the
-value-level loss compositions. Gradients for all of these run through
-`noisylab.nn`.
+guessing with sharpening, MixUp, and vector-data augmentations. The
+loss terms that consume their outputs live in `noisylab.nn`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .nn import CE_EPS
-
-
-@dataclass
-class LossWeights:
-    lambda_u: float = 30.0
-    lambda_reg: float = 1.0
-    lambda_cl: float = 1.0
-    lambda_energy: float = 0.1
-    contrast_temperature: float = 0.5
-    sharpen_temperature: float = 0.5
-
-    def __post_init__(self):
-        for name in ("lambda_u", "lambda_reg", "lambda_cl", "lambda_energy"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be nonnegative")
-        if self.contrast_temperature <= 0 or self.sharpen_temperature <= 0:
-            raise ParameterError("temperatures must be positive")
 
 
 def onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -97,71 +76,3 @@ def strong_augment(x: np.ndarray, feature_std: np.ndarray, rng: np.random.Genera
     out = out * rng.uniform(scale_range[0], scale_range[1], size=x.shape)
     keep = rng.random(size=x.shape) >= dropout
     return out * keep
-
-
-def soft_ce_values(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    return -(targets * np.log(np.maximum(probs, CE_EPS))).sum(axis=1)
-
-
-def ssl_loss(labeled_probs: np.ndarray, labeled_targets: np.ndarray,
-             unlabeled_probs: np.ndarray | None, unlabeled_targets: np.ndarray | None,
-             lambda_u: float, lambda_reg: float):
-    """Semi-supervised objective from already-computed predictions.
-
-    Labeled term: mean soft cross entropy. Unlabeled term: mean squared
-    error between predictions and pseudo-targets (averaged over classes).
-    Regularizer: KL from the uniform prior to the batch-mean prediction
-    over all rows. Returns (total, l_x, l_u, l_reg).
-    """
-    labeled_probs = np.atleast_2d(labeled_probs)
-    if len(labeled_probs) == 0:
-        raise ParameterError("labeled part must be nonempty")
-    k = labeled_probs.shape[1]
-    l_x = float(soft_ce_values(labeled_probs, labeled_targets).mean())
-
-    has_u = unlabeled_probs is not None and len(unlabeled_probs) > 0
-    if has_u:
-        l_u = float(((unlabeled_probs - unlabeled_targets) ** 2).sum(axis=1).mean() / k)
-        all_probs = np.vstack([labeled_probs, unlabeled_probs])
-    else:
-        l_u = 0.0
-        all_probs = labeled_probs
-
-    prior = 1.0 / k
-    pbar = all_probs.mean(axis=0)
-    l_reg = float((prior * np.log(prior / pbar)).sum())
-
-    total = l_x + lambda_u * l_u + lambda_reg * l_reg
-    return total, l_x, l_u, l_reg
-
-
-def contrastive_loss(projections: np.ndarray, temperature: float) -> float:
-    """NT-Xent over unit-norm projections ordered as adjacent view pairs.
-
-    Each anchor's positive is its pair partner; the denominator runs over
-    every other row. A single pair yields exactly zero.
-    """
-    if temperature <= 0:
-        raise ParameterError("contrastive temperature must be positive")
-    z = np.atleast_2d(projections)
-    m = len(z)
-    if m % 2 != 0 or m < 2:
-        raise ShapeError("projection batch must hold adjacent view pairs")
-    sims = (z @ z.T) / temperature
-    np.fill_diagonal(sims, -np.inf)
-    row_max = sims.max(axis=1)
-    log_denom = row_max + np.log(np.exp(sims - row_max[:, None]).sum(axis=1))
-    pos = np.arange(m) ^ 1
-    return float((-sims[np.arange(m), pos] + log_denom).mean())
-
-
-def total_loss(ssl_value: float, contrastive_value: float, energy_value: float,
-               weights: LossWeights) -> float:
-    """Weighted sum of the three objective groups."""
-    for name, v in (("ssl", ssl_value), ("contrastive", contrastive_value),
-                    ("energy", energy_value)):
-        if not np.isfinite(v):
-            from .errors import TrainingError
-
-            raise TrainingError(f"non-finite {name} loss term")
-    return ssl_value + weights.lambda_cl * contrastive_value + weights.lambda_energy * energy_value

@@ -93,11 +93,30 @@ def _energies_unsaturated(net, feats_or_inputs, temperature, through_extractor):
     return np.abs(nn.energies(logits, temperature)).max() < 20.0
 
 
-def sample_config(kind, seed, q=0.7, temperature=1.0, contrast_temperature=0.5):
-    """Draw a smooth random (net, batch, value_fn, bundle_fn) configuration.
+def logit_term_loss(net, x, term):
+    """(value, bundle) of a probability-space term on the logits of x."""
+    cache = nn.forward_batch(net, x)
+    value, dlogits = term(nn.softmax(cache.logits))
+    bundle = nn.GradientBundle.zeros(net, value)
+    nn.backprop_logits(net, cache, dlogits, bundle)
+    return value, bundle
 
-    Deterministically walks seeds until the sampled point clears all
-    non-smooth regions, so the finite-difference oracle applies.
+
+def projection_term_loss(net, views, term):
+    """(value, bundle) of a term on the unit projections of views."""
+    cache = nn.forward_batch(net, views, want_logits=False, want_projection=True)
+    value, dproj = term(cache.projection)
+    bundle = nn.GradientBundle.zeros(net, value)
+    nn.backprop_projection(net, cache, dproj, bundle)
+    return value, bundle
+
+
+def sample_config(kind, seed, q=0.7, temperature=1.0, contrast_temperature=0.5):
+    """Draw a smooth random (net, inputs, loss_fn) configuration.
+
+    loss_fn() returns (value, gradient bundle); inputs holds the sampled
+    arrays by name. Deterministically walks seeds until the sampled point
+    clears all non-smooth regions, so the finite-difference oracle applies.
     """
     for attempt in range(200):
         rng = np.random.default_rng((seed, attempt))
@@ -109,35 +128,25 @@ def sample_config(kind, seed, q=0.7, temperature=1.0, contrast_temperature=0.5):
             y = rng.integers(0, k, size=n)
             if not (_preacts_clear_of_kinks(net, [x]) and _probs_well_conditioned(net, x, y=y)):
                 continue
-            batch = nn.TermBatch(x=x, y=y)
-            return net, batch, lambda: nn.gce_loss_and_grads(net, x, y, q)[0], \
-                lambda: nn.backward(net, batch, "gce", q=q)
+            return net, {"x": x, "y": y}, lambda: nn.gce_loss_and_grads(net, x, y, q)
         if kind in ("ce", "mse"):
             targets = rng.dirichlet(np.ones(k), size=n)
             if not (_preacts_clear_of_kinks(net, [x]) and _probs_well_conditioned(net, x)):
                 continue
-            batch = nn.TermBatch(x=x, targets=targets)
-            if kind == "ce":
-                return net, batch, lambda: nn.soft_ce_loss_and_grads(net, x, targets)[0], \
-                    lambda: nn.backward(net, batch, "ce")
-            return net, batch, lambda: nn.mse_prob_loss_and_grads(net, x, targets)[0], \
-                lambda: nn.backward(net, batch, "mse")
+            term = nn.soft_ce_term if kind == "ce" else nn.mse_term
+            return net, {"x": x, "targets": targets}, \
+                lambda: logit_term_loss(net, x, lambda p: term(p, targets))
         if kind == "prior_kl":
             if not (_preacts_clear_of_kinks(net, [x]) and _probs_well_conditioned(net, x)):
                 continue
-            batch = nn.TermBatch(x=x)
-            return net, batch, lambda: nn.prior_kl_loss_and_grads(net, x)[0], \
-                lambda: nn.backward(net, batch, "prior_kl")
+            return net, {"x": x}, lambda: logit_term_loss(net, x, nn.prior_kl_term)
         if kind == "contrastive":
             pairs = int(rng.integers(2, 5))
             views = rng.normal(size=(2 * pairs, net.input_dim))
             if not _preacts_clear_of_kinks(net, [views]):
                 continue
-            batch = nn.TermBatch(views=views)
-            return net, batch, \
-                lambda: nn.contrastive_loss_and_grads(net, views, contrast_temperature)[0], \
-                lambda: nn.backward(net, batch, "contrastive",
-                                    contrast_temperature=contrast_temperature)
+            return net, {"views": views}, lambda: projection_term_loss(
+                net, views, lambda z: nn.ntxent_term(z, contrast_temperature))
         if kind == "energy_bce":
             m = int(rng.integers(1, 5))
             outliers = rng.normal(size=(m, net.feature_dim))
@@ -145,11 +154,9 @@ def sample_config(kind, seed, q=0.7, temperature=1.0, contrast_temperature=0.5):
                     and _energies_unsaturated(net, x, temperature, True)
                     and _energies_unsaturated(net, outliers, temperature, False)):
                 continue
-            batch = nn.TermBatch(clean_inputs=x, outlier_features=outliers)
-            return net, batch, \
+            return net, {"clean_inputs": x, "outlier_features": outliers}, \
                 lambda: nn.energy_bce_loss_and_grads(
-                    net, clean_inputs=x, outlier_features=outliers, temperature=temperature)[0], \
-                lambda: nn.backward(net, batch, "energy_bce", temperature=temperature)
+                    net, clean_inputs=x, outlier_features=outliers, temperature=temperature)
         if kind == "total":
             n_u = int(rng.integers(1, 4))
             u = rng.normal(size=(n_u, net.input_dim))
@@ -179,9 +186,12 @@ def sample_config(kind, seed, q=0.7, temperature=1.0, contrast_temperature=0.5):
                     and _energies_unsaturated(net, support, temperature, True)
                     and _energies_unsaturated(net, outliers, temperature, False)):
                 continue
-            batch = nn.TermBatch(total=total)
-            return net, batch, lambda: nn.total_loss_and_grads(net, total)[0], \
-                lambda: nn.backward(net, batch, "total")
+
+            def total_loss():
+                value, _, bundle = nn.total_loss_and_grads(net, total)
+                return value, bundle
+
+            return net, {"total": total}, total_loss
         raise ValueError(f"unknown kind {kind!r}")
     raise RuntimeError(f"could not sample a smooth configuration for {kind!r}")
 
@@ -190,8 +200,8 @@ def run_suite(kind, n_configs=100, seed_base=0):
     """Check analytic vs finite-difference gradients; returns worst error."""
     worst = 0.0
     for s in range(n_configs):
-        net, _, value_fn, bundle_fn = sample_config(kind, seed_base + s)
-        bundle = bundle_fn()
-        fd = finite_difference_grads(net, value_fn)
+        net, _, loss_fn = sample_config(kind, seed_base + s)
+        bundle = loss_fn()[1]
+        fd = finite_difference_grads(net, lambda: loss_fn()[0])
         worst = max(worst, max_relative_error(bundle, fd))
     return worst

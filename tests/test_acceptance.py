@@ -90,9 +90,9 @@ def test_criterion_3_energy_invariants():
             j = int(np.argmax(np.abs(logits)))
             logits = logits * (1e3 / max(np.abs(logits[j]), 1e-12))
         c = rng.uniform(-100.0, 100.0)
-        err = abs(nn.energy(logits + c) - (nn.energy(logits) - c))
+        err = abs(nn.energies(logits + c) - (nn.energies(logits) - c))
         worst_shift = max(worst_shift, err)
-    uniform_ok = all(abs(nn.energy(np.zeros(k)) + np.log(k)) <= 1e-12
+    uniform_ok = all(abs(nn.energies(np.zeros(k)) + np.log(k)) <= 1e-12
                      for k in range(2, 21))
     ok = worst_shift <= 1e-9 and uniform_ok
     criterion(3, ok, f"shift identity worst error {worst_shift:.2e} over 1e4 cases "

@@ -173,3 +173,21 @@ class TestCsvRoundTrip:
         path = tmp_path / "ood.csv"
         data.write_features_csv(feats, path)
         assert np.array_equal(data.read_features_csv(path), feats)
+
+    @pytest.mark.parametrize("body,where", [
+        ("id,f0,f1\n0,1.0,2.0\n1,1.0,oops\n", "line 3"),
+        ("id,f0,f1\n0,1.0,2.0\n1,1.0\n", "line 3"),
+        ("id,f0,f1\n", "no data rows"),
+        ("", "unexpected feature header"),
+    ], ids=["non-numeric", "ragged", "header-only", "empty"])
+    def test_malformed_features_raise_config_error(self, tmp_path, body, where):
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        with pytest.raises(ConfigError, match=where):
+            data.read_features_csv(path)
+
+    def test_malformed_dataset_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,true_label,noisy_label,f0\n0,1,1,0.5\n1,x,1,0.5\n")
+        with pytest.raises(ConfigError, match="line 3"):
+            data.read_dataset_csv(path)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from noisylab import nn
-from gradcheck import REL_TOL, run_suite, sample_config, finite_difference_grads, max_relative_error
+from gradcheck import (REL_TOL, finite_difference_grads, logit_term_loss, max_relative_error,
+                       run_suite, sample_config)
 
 ALL_KINDS = ["ce", "gce", "mse", "prior_kl", "contrastive", "energy_bce", "total"]
 
@@ -37,20 +38,14 @@ def test_energy_bce_head_only_gradients():
 
 
 def test_total_term_weights_zero_reduce_to_labeled_ce():
-    net, batch, _, _ = sample_config("total", seed=7)
-    total = batch.total
+    net, inputs, _ = sample_config("total", seed=7)
+    total = inputs["total"]
     total.lambda_u = 0.0
     total.lambda_reg = 0.0
     total.lambda_cl = 0.0
     total.lambda_energy = 0.0
     value, terms, _ = nn.total_loss_and_grads(net, total)
-    ce_value, _ = nn.soft_ce_loss_and_grads(
-        net, total.labeled_inputs, total.labeled_targets)
+    ce_value, _ = logit_term_loss(
+        net, total.labeled_inputs, lambda p: nn.soft_ce_term(p, total.labeled_targets))
     assert np.isclose(value, terms["labeled"])
     assert np.isclose(value, ce_value)
-
-
-def test_backward_rejects_unknown_spec():
-    net, batch, _, _ = sample_config("ce", seed=3)
-    with pytest.raises(Exception):
-        nn.backward(net, batch, "nonsense")

@@ -15,11 +15,20 @@ from noisylab.harness import (REPORT_SCHEMA, Experiment, build_datasets, evaluat
 
 SMOKE = dict(n_train=300, n_test=150, warmup_epochs=2, total_epochs=5,
              hidden_dims=(16, 8), ood_n=100, window=2)
+INPUT_DIM = RunConfig().input_dim
+FEATURE_HEADER = "id," + ",".join(f"f{j}" for j in range(INPUT_DIM)) + "\n"
 
 
 @pytest.fixture(scope="module")
 def smoke_report():
     return run_experiment(RunConfig(seed=3, **SMOKE))
+
+
+@pytest.fixture(scope="module")
+def saved_run(tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("saved_run")
+    run_experiment(RunConfig(seed=2, **SMOKE), out_dir=run_dir)
+    return run_dir
 
 
 class TestConfig:
@@ -33,7 +42,8 @@ class TestConfig:
     def test_bad_values_rejected(self):
         for key, value in [("noise_rate", 1.5), ("tau_clean", 0.0), ("gce_q", 2.0),
                            ("sampler", "sobol"), ("total_epochs", 3), ("lr", -0.1),
-                           ("batch_size", 1), ("window", 0)]:
+                           ("batch_size", 1), ("window", 0), ("lambda_u", -1.0),
+                           ("sharpen_temperature", 0.0)]:
             base = {"warmup_epochs": 5} if key == "total_epochs" else {}
             with pytest.raises(ConfigError):
                 RunConfig.from_dict({key: value, **base})
@@ -141,12 +151,6 @@ class TestRunExperiment:
         report = run_experiment(RunConfig(seed=6, noise_mode="asymmetric",
                                           noise_rate=0.3, **SMOKE))
         assert not report.incomplete
-
-    def test_per_class_envelope_variant(self):
-        report = run_experiment(RunConfig(seed=7, envelope_per_class=True, **SMOKE))
-        assert not report.incomplete
-        main = [e for e in report.epochs if e["phase"] == "main"]
-        assert any(e["n_outliers"] is not None for e in main)
 
 
 class TestAblationIsolation:
@@ -292,6 +296,20 @@ class TestCli:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"nope": 1}))
         assert cli_main(["train", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("body", [
+        "id,f0,f1,f2\n0,1.0,2.0,3.0\n",
+        FEATURE_HEADER + "0,abc" + ",1.0" * (INPUT_DIM - 1) + "\n",
+        FEATURE_HEADER,
+    ], ids=["narrower-than-nets", "non-numeric", "header-only"])
+    def test_malformed_ood_csv_exit_code(self, saved_run, tmp_path, capsys, body):
+        path = tmp_path / "ood.csv"
+        path.write_text(body)
+        capsys.readouterr()
+        rc = cli_main(["ood-eval", "--run-dir", str(saved_run), "--ood-csv", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
 
     def test_io_error_exit_code(self, tmp_path):
         assert cli_main(["ood-eval", "--run-dir", str(tmp_path / "missing"),

@@ -43,7 +43,6 @@ class TestSelectionMetrics:
         clean = np.array([True, False])
         m = metrics.selection_metrics(np.zeros(2, dtype=bool), clean)
         assert m.precision is None
-        assert not m.precision_defined
         assert m.recall == 0.0 and m.f1 == 0.0
 
     def test_matches_confusion_matrix_oracle(self):

@@ -19,7 +19,8 @@ def identity_net(dim=2):
 class TestForward:
     def test_identity_net_passes_input_through(self):
         net = identity_net()
-        assert np.allclose(nn.forward_features(net, np.array([1.0, 2.0])), [1.0, 2.0])
+        cache = nn.forward_batch(net, np.array([1.0, 2.0]), want_logits=False)
+        assert np.allclose(cache.features[0], [1.0, 2.0])
 
     def test_single_relu_layer_clamps(self):
         layers = [
@@ -28,7 +29,8 @@ class TestForward:
             nn.DenseLayer(np.eye(2), np.zeros(2), "identity"),
         ]
         net = nn.DenseNet(layers, 1, 2)
-        assert np.allclose(nn.forward_features(net, np.array([1.0, 2.0])), [0.0, 2.0])
+        cache = nn.forward_batch(net, np.array([1.0, 2.0]), want_logits=False)
+        assert np.allclose(cache.features[0], [0.0, 2.0])
 
     def test_seeded_net_matches_manual_matmul(self):
         rng = np.random.default_rng(7)
@@ -45,13 +47,14 @@ class TestForward:
         l1 = net.layers[1]
         logits = np.array([l1.bias[i] + sum(l1.weights[i, j] * h[j] for j in range(4))
                            for i in range(3)])
-        assert np.allclose(nn.forward_features(net, x), h, atol=1e-12)
-        assert np.allclose(nn.forward_logits(net, x), logits, atol=1e-12)
+        cache = nn.forward_batch(net, x)
+        assert np.allclose(cache.features[0], h, atol=1e-12)
+        assert np.allclose(cache.logits[0], logits, atol=1e-12)
 
     def test_dimension_mismatch_raises(self):
         net = identity_net()
         with pytest.raises(ShapeError):
-            nn.forward_features(net, np.array([1.0, 2.0, 3.0]))
+            nn.forward_batch(net, np.array([1.0, 2.0, 3.0]), want_logits=False)
 
     def test_inconsistent_layer_widths_rejected(self):
         layers = [
@@ -71,7 +74,8 @@ class TestProjection:
             nn.DenseLayer(np.eye(2), np.array([3.0, 4.0]), "identity"),
         ]
         net = nn.DenseNet(layers, 1, 2)
-        assert np.allclose(nn.forward_projection(net, np.zeros(2)), [0.6, 0.8])
+        cache = nn.forward_batch(net, np.zeros(2), want_logits=False, want_projection=True)
+        assert np.allclose(cache.projection[0], [0.6, 0.8])
 
     def test_zero_norm_falls_back_to_first_basis_vector(self):
         z, degenerate = nn.normalize_rows(np.zeros((1, 4)))
@@ -82,10 +86,10 @@ class TestProjection:
         rng = np.random.default_rng(11)
         net = nn.build_network(3, 2, hidden=(5,), projection_dim=3, rng=rng)
         x = rng.normal(size=3)
-        feats = nn.forward_features(net, x)
-        raw = net.layers[-1].weights @ feats + net.layers[-1].bias
-        assert np.allclose(nn.forward_projection(net, x), raw / np.linalg.norm(raw))
-        assert abs(np.linalg.norm(nn.forward_projection(net, x)) - 1.0) < 1e-9
+        cache = nn.forward_batch(net, x, want_logits=False, want_projection=True)
+        raw = net.layers[-1].weights @ cache.features[0] + net.layers[-1].bias
+        assert np.allclose(cache.projection[0], raw / np.linalg.norm(raw))
+        assert abs(np.linalg.norm(cache.projection[0]) - 1.0) < 1e-9
 
 
 class TestSoftmax:
@@ -108,38 +112,51 @@ class TestSoftmax:
             assert abs(nn.softmax(logits).sum() - 1.0) <= 1e-9
 
 
+def gce(probs, y, q=0.7):
+    return nn.gce_losses(np.atleast_2d(probs), np.array([y]), q)[0]
+
+
 class TestGce:
     def test_perfect_prediction(self):
-        assert nn.gce_loss(np.array([0.0, 1.0]), 1, q=0.7) == 0.0
+        assert gce(np.array([0.0, 1.0]), 1, q=0.7) == 0.0
 
     def test_worst_prediction_endpoint(self):
-        assert np.isclose(nn.gce_loss(np.array([1.0, 0.0]), 1, q=0.7), 1.0 / 0.7)
+        assert np.isclose(gce(np.array([1.0, 0.0]), 1, q=0.7), 1.0 / 0.7)
 
     def test_half_prediction(self):
         expected = (1.0 - 0.5 ** 0.7) / 0.7
-        assert np.isclose(nn.gce_loss(np.array([0.5, 0.5]), 0, q=0.7), expected)
+        assert np.isclose(gce(np.array([0.5, 0.5]), 0, q=0.7), expected)
         assert np.isclose(expected, 0.549183, atol=1e-6)
 
     def test_invalid_q_raises(self):
         with pytest.raises(ParameterError):
-            nn.gce_loss(np.array([0.5, 0.5]), 0, q=0.0)
+            gce(np.array([0.5, 0.5]), 0, q=0.0)
         with pytest.raises(ParameterError):
-            nn.gce_loss(np.array([0.5, 0.5]), 0, q=-1.0)
+            gce(np.array([0.5, 0.5]), 0, q=-1.0)
 
     def test_strictly_decreasing_in_p(self):
         for q in (0.1, 0.5, 0.7, 1.0):
             ps = np.linspace(1e-3, 1.0 - 1e-3, 500)
-            vals = [(1.0 - p ** q) / q for p in ps]
-            assert all(a > b for a, b in zip(vals, vals[1:]))
+            vals = nn.gce_losses(np.stack([1.0 - ps, ps], axis=1), np.ones(500, dtype=int), q)
+            assert np.all(vals[:-1] > vals[1:])
+
+    def test_term_value_is_batch_mean(self):
+        rng = np.random.default_rng(4)
+        probs = rng.dirichlet(np.ones(3), size=5)
+        y = rng.integers(0, 3, size=5)
+        value, dlogits = nn.gce_term(probs, y, 0.7)
+        assert np.isclose(value, nn.gce_losses(probs, y, 0.7).mean())
+        assert dlogits.shape == probs.shape
+        assert np.allclose(dlogits.sum(axis=1), 0.0)  # softmax gradients sum to zero
 
 
 class TestCrossEntropy:
     def test_perfect(self):
-        assert nn.cross_entropy(np.array([0.0, 1.0]), 1) == 0.0
+        assert nn.soft_cross_entropy(np.array([0.0, 1.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_uniform_ten_classes(self):
         probs = np.full(10, 0.1)
-        assert np.isclose(nn.cross_entropy(probs, 3), np.log(10.0))
+        assert np.isclose(nn.soft_cross_entropy(probs, np.eye(10)[3]), np.log(10.0))
 
     def test_soft_target_equal_to_prediction_gives_entropy(self):
         rng = np.random.default_rng(5)
@@ -150,27 +167,31 @@ class TestCrossEntropy:
 
 class TestEnergy:
     def test_uniform_logits(self):
-        assert abs(nn.energy(np.zeros(10), 1.0) + np.log(10.0)) < 1e-12
+        assert abs(nn.energies(np.zeros(10), 1.0) + np.log(10.0)) < 1e-12
 
     def test_shift_identity(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             logits = rng.normal(scale=5.0, size=rng.integers(2, 9))
             c = rng.normal(scale=10.0)
-            assert abs(nn.energy(logits + c) - (nn.energy(logits) - c)) <= 1e-9
+            assert abs(nn.energies(logits + c) - (nn.energies(logits) - c)) <= 1e-9
 
     def test_no_overflow(self):
-        assert np.isfinite(nn.energy(np.array([1000.0, 0.0]), 1.0))
+        assert np.isfinite(nn.energies(np.array([1000.0, 0.0]), 1.0))
 
     def test_direct_sum_oracle(self):
-        val = nn.energy(np.array([1.0, 2.0, 3.0]), 1.0)
+        val = nn.energies(np.array([1.0, 2.0, 3.0]), 1.0)
         oracle = -np.log(np.exp(1.0) + np.exp(2.0) + np.exp(3.0))
         assert np.isclose(val, oracle, atol=1e-12)
         assert np.isclose(val, -3.407606, atol=1e-6)
 
+    def test_rows_scored_independently(self):
+        logits = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+        assert np.allclose(nn.energies(logits), [nn.energies(logits[0]), -np.log(3.0)])
+
     def test_temperature_validated(self):
         with pytest.raises(ParameterError):
-            nn.energy(np.zeros(3), 0.0)
+            nn.energies(np.zeros(3), 0.0)
 
 
 class TestBackwardTrivial:
@@ -183,7 +204,10 @@ class TestBackwardTrivial:
         net = nn.DenseNet(layers, 1, 2)
         x = np.array([[1.0, -2.0], [-1.0, 2.0]])
         targets = np.full((2, 4), 0.25)
-        _, bundle = nn.soft_ce_loss_and_grads(net, x, targets)
+        cache = nn.forward_batch(net, x)
+        _, dlogits = nn.soft_ce_term(nn.softmax(cache.logits), targets)
+        bundle = nn.GradientBundle.zeros(net)
+        nn.backprop_logits(net, cache, dlogits, bundle)
         assert all(np.allclose(g, 0.0) for g in bundle.d_weights)
         assert all(np.allclose(g, 0.0) for g in bundle.d_bias)
 

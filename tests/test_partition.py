@@ -44,6 +44,14 @@ class TestFitGmm:
         with pytest.raises(ParameterError):
             partition.fit_gmm_1d([0.5])
 
+    def test_invalid_parameters_rejected(self):
+        with pytest.raises(ParameterError):
+            partition.Gmm1d(np.array([0.1, 0.8]), np.array([0.01, 0.01]),
+                            np.array([0.5, 0.6]), small_idx=0)
+        with pytest.raises(ParameterError):
+            partition.Gmm1d(np.array([0.1, 0.8]), np.array([0.01, np.nan]),
+                            np.array([0.5, 0.5]), small_idx=0)
+
 
 class TestCleanProbability:
     def test_identical_components_give_half(self):

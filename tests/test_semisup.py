@@ -1,10 +1,12 @@
-"""Label refinement, sharpening, MixUp, and loss value compositions."""
+"""Label refinement, sharpening, MixUp, augmentations, and the loss values of
+the semi-supervised and contrastive terms against value-only oracles."""
 
 import numpy as np
 import pytest
 
 from noisylab import nn, semisup
 from noisylab.errors import ParameterError, ShapeError
+from loss_oracles import contrastive_loss, soft_ce_values, ssl_loss
 
 
 def entropy(p):
@@ -116,14 +118,21 @@ class TestMixup:
                                 np.eye(3), 0.8)
 
 
+def tiny_net(k=3, seed=14):
+    return nn.build_network(3, k, hidden=(4,), projection_dim=3,
+                            rng=np.random.default_rng(seed))
+
+
 class TestSslLoss:
     def test_perfect_predictions_vanish(self):
         k = 4
         targets = np.eye(k)
-        total, l_x, l_u, l_reg = semisup.ssl_loss(targets, targets, targets, targets,
-                                                  lambda_u=30.0, lambda_reg=1.0)
-        assert l_x == 0.0 and l_u == 0.0
-        assert abs(l_reg) < 1e-12  # batch mean is exactly uniform
+        assert nn.soft_ce_term(targets, targets)[0] == 0.0
+        assert nn.mse_term(targets, targets)[0] == 0.0
+        # batch mean is exactly uniform
+        assert abs(nn.prior_kl_term(np.vstack([targets, targets]))[0]) < 1e-12
+        total, _, _, _ = ssl_loss(targets, targets, targets, targets,
+                                  lambda_u=30.0, lambda_reg=1.0)
         assert abs(total) < 1e-12
 
     def test_uniform_mean_prediction_zeroes_regularizer(self):
@@ -132,8 +141,7 @@ class TestSslLoss:
         row = rng.dirichlet(np.ones(3))
         probs = np.stack([np.roll(row, s) for s in range(3)])
         assert np.allclose(probs.mean(axis=0), 1.0 / 3.0)
-        _, _, _, l_reg = semisup.ssl_loss(probs, probs, None, None, 0.0, 1.0)
-        assert abs(l_reg) < 1e-12
+        assert abs(nn.prior_kl_term(probs)[0]) < 1e-12
 
     def test_matches_per_term_summation_oracle(self):
         rng = np.random.default_rng(7)
@@ -143,35 +151,48 @@ class TestSslLoss:
         up = rng.dirichlet(np.ones(k), size=6)
         ut = rng.dirichlet(np.ones(k), size=6)
         lam_u, lam_r = 7.0, 0.8
-        total, l_x, l_u, l_reg = semisup.ssl_loss(lp, lt, up, ut, lam_u, lam_r)
+        total, l_x, l_u, l_reg = ssl_loss(lp, lt, up, ut, lam_u, lam_r)
         ce = sum(-sum(lt[i, j] * np.log(lp[i, j]) for j in range(k)) for i in range(9)) / 9
         mse = sum(sum((up[i, j] - ut[i, j]) ** 2 for j in range(k)) for i in range(6)) / (6 * k)
         pbar = np.vstack([lp, up]).mean(axis=0)
         kl = sum((1 / k) * np.log((1 / k) / pbar[j]) for j in range(k))
+        for oracle, term in ((l_x, nn.soft_ce_term(lp, lt)[0]), (l_u, nn.mse_term(up, ut)[0]),
+                             (l_reg, nn.prior_kl_term(np.vstack([lp, up]))[0])):
+            assert np.isclose(oracle, term)
         assert np.isclose(l_x, ce)
         assert np.isclose(l_u, mse)
         assert np.isclose(l_reg, kl)
         assert np.isclose(total, ce + lam_u * mse + lam_r * kl)
 
     def test_empty_unlabeled_part_omits_term(self):
-        lp = np.array([[0.9, 0.1]])
-        total, l_x, l_u, _ = semisup.ssl_loss(lp, np.array([[1.0, 0.0]]), None, None,
-                                              lambda_u=30.0, lambda_reg=0.0)
-        assert l_u == 0.0
-        assert np.isclose(total, l_x)
+        rng = np.random.default_rng(15)
+        net = tiny_net()
+        batch = nn.TotalLossBatch(labeled_inputs=rng.normal(size=(4, 3)),
+                                  labeled_targets=rng.dirichlet(np.ones(3), size=4),
+                                  unlabeled_inputs=np.empty((0, 3)), lambda_u=30.0)
+        value, terms, _ = nn.total_loss_and_grads(net, batch)
+        assert terms["unlabeled"] == 0.0
+        assert value == terms["labeled"]
 
     def test_term_isolation_weights_zero(self):
         rng = np.random.default_rng(8)
         lp = rng.dirichlet(np.ones(3), size=4)
         lt = rng.dirichlet(np.ones(3), size=4)
         up = rng.dirichlet(np.ones(3), size=4)
-        total, l_x, _, _ = semisup.ssl_loss(lp, lt, up, up, 0.0, 0.0)
+        total, l_x, _, _ = ssl_loss(lp, lt, up, up, 0.0, 0.0)
         assert np.isclose(total, l_x)
-        assert np.isclose(total, semisup.soft_ce_values(lp, lt).mean())
+        assert np.isclose(total, soft_ce_values(lp, lt).mean())
+        assert np.isclose(total, nn.soft_ce_term(lp, lt)[0])
 
     def test_empty_labeled_rejected(self):
-        with pytest.raises(ParameterError):
-            semisup.ssl_loss(np.empty((0, 3)), np.empty((0, 3)), None, None, 1.0, 1.0)
+        batch = nn.TotalLossBatch(labeled_inputs=np.empty((0, 3)),
+                                  labeled_targets=np.empty((0, 3)))
+        with pytest.raises(ShapeError):
+            nn.total_loss_and_grads(tiny_net(), batch)
+
+
+def ntxent(z, temperature):
+    return nn.ntxent_term(np.asarray(z, dtype=np.float64), temperature)[0]
 
 
 class TestContrastive:
@@ -180,14 +201,13 @@ class TestContrastive:
         for n_pairs in (2, 3, 5):
             m = 2 * n_pairs
             z = np.eye(m)  # all off-diagonal sims equal (zero)
-            val = semisup.contrastive_loss(z, temperature=0.5)
-            assert np.isclose(val, np.log(m - 1))
-        assert np.isclose(semisup.contrastive_loss(np.eye(4), 0.5), np.log(3.0))
+            assert np.isclose(ntxent(z, temperature=0.5), np.log(m - 1))
+        assert np.isclose(ntxent(np.eye(4), 0.5), np.log(3.0))
         assert np.isclose(np.log(3.0), 1.098612, atol=1e-6)
 
     def test_single_pair_is_zero(self):
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert semisup.contrastive_loss(z, 0.5) == 0.0
+        assert ntxent(z, 0.5) == 0.0
 
     def test_direct_summation_oracle(self):
         # positive pairs at similarity 1, all negatives at -1
@@ -195,7 +215,7 @@ class TestContrastive:
         b = np.array([-1.0, 0.0])
         z = np.vstack([a, a, b, b])
         delta = 0.5
-        val = semisup.contrastive_loss(z, delta)
+        val = ntxent(z, delta)
         # every anchor: positive sim 1, two negatives sim -1
         oracle = -(1 / delta) + np.log(np.exp(1 / delta) + 2 * np.exp(-1 / delta))
         assert np.isclose(val, oracle)
@@ -206,30 +226,24 @@ class TestContrastive:
             n_pairs = int(rng.integers(1, 6))
             raw = rng.normal(size=(2 * n_pairs, 3))
             z = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-            assert semisup.contrastive_loss(z, 0.5) >= 0.0
+            assert ntxent(z, 0.5) >= 0.0
 
     def test_matches_gradient_path_value(self):
         rng = np.random.default_rng(10)
         net = nn.build_network(3, 2, hidden=(4,), projection_dim=3, rng=rng)
         views = rng.normal(size=(6, 3))
-        value, _ = nn.contrastive_loss_and_grads(net, views, 0.5)
         cache = nn.forward_batch(net, views, want_logits=False, want_projection=True)
-        assert np.isclose(value, semisup.contrastive_loss(cache.projection, 0.5))
+        value, _ = nn.ntxent_term(cache.projection, 0.5)
+        assert np.isclose(value, contrastive_loss(cache.projection, 0.5))
 
     def test_odd_batch_rejected(self):
         with pytest.raises(ShapeError):
-            semisup.contrastive_loss(np.eye(3), 0.5)
+            ntxent(np.eye(3), 0.5)
+        with pytest.raises(ParameterError):
+            ntxent(np.eye(4), 0.0)
 
 
 class TestTotalLoss:
-    def test_zero_weights_reduce_to_ssl(self):
-        w = semisup.LossWeights(lambda_cl=0.0, lambda_energy=0.0)
-        assert semisup.total_loss(1.7, 9.9, 3.3, w) == 1.7
-
-    def test_weighted_arithmetic(self):
-        w = semisup.LossWeights(lambda_cl=1.0, lambda_energy=0.1)
-        assert np.isclose(semisup.total_loss(1.0, 1.0, 1.0, w), 2.1)
-
     def test_matches_nn_total_decomposition(self):
         # replay oracle: the nn-side composite equals the recomputed sum of
         # its logged per-term values
@@ -249,20 +263,17 @@ class TestTotalLoss:
         recomposed = (terms["labeled"] + 5.0 * terms["unlabeled"] + 0.7 * terms["prior"]
                       + 1.3 * terms["contrastive"] + 0.2 * terms["energy"])
         assert np.isclose(value, recomposed)
-        # and the ssl pieces agree with the value-level implementation
+        # and the ssl pieces agree with the value-level oracle
         cache = nn.forward_batch(net, np.vstack([batch.labeled_inputs, batch.unlabeled_inputs]))
         probs = nn.softmax(cache.logits)
-        _, l_x, l_u, l_reg = semisup.ssl_loss(probs[:6], batch.labeled_targets,
-                                              probs[6:], batch.unlabeled_targets, 5.0, 0.7)
+        _, l_x, l_u, l_reg = ssl_loss(probs[:6], batch.labeled_targets,
+                                      probs[6:], batch.unlabeled_targets, 5.0, 0.7)
         assert np.isclose(terms["labeled"], l_x)
         assert np.isclose(terms["unlabeled"], l_u)
         assert np.isclose(terms["prior"], l_reg)
-
-    def test_non_finite_term_raises(self):
-        from noisylab.errors import TrainingError
-
-        with pytest.raises(TrainingError):
-            semisup.total_loss(float("nan"), 0.0, 0.0, semisup.LossWeights())
+        c_cache = nn.forward_batch(net, batch.contrast_views, want_logits=False,
+                                   want_projection=True)
+        assert np.isclose(terms["contrastive"], contrastive_loss(c_cache.projection, 0.5))
 
 
 class TestAugment:
@@ -279,9 +290,3 @@ class TestAugment:
         out = semisup.strong_augment(x, np.full(4, 0.01), rng, dropout=0.1)
         zero_frac = (out == 0.0).mean()
         assert abs(zero_frac - 0.1) < 0.02
-
-    def test_weights_validation(self):
-        with pytest.raises(ParameterError):
-            semisup.LossWeights(lambda_u=-1.0)
-        with pytest.raises(ParameterError):
-            semisup.LossWeights(sharpen_temperature=0.0)
