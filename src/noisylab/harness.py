@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import data as data_mod
 from . import geometry, metrics, nn, partition, semisup
 from .config import RunConfig
-from .errors import TrainingError
+from .errors import ConfigError, TrainingError
 
 SCHEMA_VERSION = 1
 
@@ -90,12 +91,17 @@ def save_model(net: nn.DenseNet, path) -> None:
 
 
 def load_model(path) -> nn.DenseNet:
-    with np.load(path, allow_pickle=False) as blob:
-        activations = [str(a) for a in blob["activations"]]
-        layers = [nn.DenseLayer(blob[f"w{i}"], blob[f"b{i}"], act)
-                  for i, act in enumerate(activations)]
-        splits = blob["splits"]
-        return nn.DenseNet(layers, int(splits[0]), int(splits[1]))
+    """The net `save_model` wrote; ConfigError if the file is not such a model."""
+    try:
+        with np.load(path, allow_pickle=False) as blob:
+            activations = [str(a) for a in blob["activations"]]
+            layers = [nn.DenseLayer(blob[f"w{i}"], blob[f"b{i}"], act)
+                      for i, act in enumerate(activations)]
+            splits = blob["splits"]
+            return nn.DenseNet(layers, int(splits[0]), int(splits[1]))
+    # ValueError covers numpy's unreadable-file errors and the nets' ShapeError
+    except (ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{path}: not a saved noisylab model: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

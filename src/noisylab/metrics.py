@@ -62,29 +62,27 @@ def selection_metrics(selected: np.ndarray, clean: np.ndarray) -> SelectionMetri
     return SelectionMetrics(precision, recall, f1, n_sel, n_clean)
 
 
-def auroc(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
-    """P(id score > ood score) + 0.5 P(equal), via average ranks."""
+def _score_pair(id_scores, ood_scores):
+    """Both score vectors as float64, checked nonempty and finite."""
     id_scores = np.asarray(id_scores, dtype=np.float64)
     ood_scores = np.asarray(ood_scores, dtype=np.float64)
     if len(id_scores) == 0 or len(ood_scores) == 0:
         raise ParameterError("both score sets must be nonempty")
     if not (np.isfinite(id_scores).all() and np.isfinite(ood_scores).all()):
         raise ParameterError("scores must be finite")
+    return id_scores, ood_scores
+
+
+def auroc(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
+    """P(id score > ood score) + 0.5 P(equal), via average ranks."""
+    id_scores, ood_scores = _score_pair(id_scores, ood_scores)
     n_pos, n_neg = len(id_scores), len(ood_scores)
-    combined = np.concatenate([id_scores, ood_scores])
-    order = np.argsort(combined, kind="mergesort")
-    ranks = np.empty(len(combined))
-    ranks[order] = np.arange(1, len(combined) + 1)
-    # average ranks across ties
-    sorted_scores = combined[order]
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        if j > i:
-            ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # a run of equal scores at sorted positions first..last (0-based) shares
+    # the average rank (first + last) / 2 + 1
+    _, inverse, counts = np.unique(np.concatenate([id_scores, ood_scores]),
+                                   return_inverse=True, return_counts=True)
+    last = np.cumsum(counts) - 1
+    ranks = (0.5 * (2 * last - counts + 1) + 1.0)[inverse]
     rank_sum = ranks[:n_pos].sum()
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
@@ -98,13 +96,11 @@ def fpr_at_95_tpr(id_scores: np.ndarray, ood_scores: np.ndarray,
     rule "positive iff score >= threshold" (ID positive); the highest
     threshold whose TPR reaches the target is used.
     """
-    id_scores = np.asarray(id_scores, dtype=np.float64)
-    ood_scores = np.asarray(ood_scores, dtype=np.float64)
-    if len(id_scores) == 0 or len(ood_scores) == 0:
-        raise ParameterError("both score sets must be nonempty")
-    thresholds = np.unique(np.concatenate([id_scores, ood_scores]))[::-1]
-    for t in thresholds:
-        tpr = (id_scores >= t).mean()
-        if tpr >= tpr_target:
-            return float((ood_scores >= t).mean())
-    return 1.0  # every sample below every threshold: classify all positive
+    id_scores, ood_scores = _score_pair(id_scores, ood_scores)
+    thresholds = np.unique(np.concatenate([id_scores, ood_scores]))
+    # TPR only grows as the threshold falls: take the highest one reaching the target
+    n_id_at_or_above = len(id_scores) - np.searchsorted(np.sort(id_scores), thresholds)
+    reached = np.flatnonzero(n_id_at_or_above / len(id_scores) >= tpr_target)
+    if len(reached) == 0:
+        return 1.0  # every sample below every threshold: classify all positive
+    return float((ood_scores >= thresholds[reached[-1]]).mean())

@@ -8,9 +8,15 @@ entry that says why the bits moved.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import noisylab
 from noisylab import RunConfig, run_experiment
 
 SMALL = dict(n_train=300, n_test=100, ood_n=60, warmup_epochs=2, total_epochs=8)
@@ -37,3 +43,23 @@ def test_report_digest(name):
     kwargs, expected = GOLDEN[name]
     report = run_experiment(RunConfig(**kwargs))
     assert hashlib.sha256(report.canonical_json()).hexdigest() == expected
+
+
+def test_report_digest_independent_of_blas_threads():
+    # one fresh interpreter per thread count: OpenBLAS reads it only at load
+    kwargs, expected = GOLDEN["blobs-seed3"]
+    child = ("import hashlib, json, sys\n"
+             "from noisylab import RunConfig, run_experiment\n"
+             "report = run_experiment(RunConfig(**json.loads(sys.argv[1])))\n"
+             "print(hashlib.sha256(report.canonical_json()).hexdigest())\n")
+    src = str(Path(noisylab.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=pythonpath)
+        proc = subprocess.run([sys.executable, "-c", child, json.dumps(kwargs)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests[threads] = proc.stdout.strip()
+    assert digests == {"1": expected, "2": expected}

@@ -1,6 +1,7 @@
 """Configuration, orchestration, reports, persistence, and the CLI."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -310,6 +311,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda path: path.write_text("not a model\n"),
+        lambda path: np.savez(path, w0=np.zeros((2, 2)), b0=np.zeros(2)),
+        lambda path: np.savez(path, w0=np.zeros((4, INPUT_DIM)), b0=np.zeros(3),
+                              activations=np.array(["relu"]), splits=np.array([1, 1])),
+    ], ids=["text-file", "no-activations", "mismatched-arrays"])
+    def test_bad_model_file_exit_code(self, saved_run, tmp_path, capsys, corrupt):
+        run_dir = tmp_path / "run"
+        shutil.copytree(saved_run, run_dir)
+        corrupt(run_dir / "models" / "net1.npz")
+        capsys.readouterr()
+        rc = cli_main(["ood-eval", "--run-dir", str(run_dir), "--ood-csv", "unread.csv"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert "net1.npz: not a saved noisylab model" in err
 
     def test_io_error_exit_code(self, tmp_path):
         assert cli_main(["ood-eval", "--run-dir", str(tmp_path / "missing"),

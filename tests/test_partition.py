@@ -14,6 +14,13 @@ def planted_mixture(n=2000, seed=0):
     return x
 
 
+def mixture_log_likelihood(x, means, variances, weights):
+    """Value-only oracle: sum of log(w0 N(x | m0, v0) + w1 N(x | m1, v1))."""
+    per_comp = [np.log(w) - 0.5 * np.log(2.0 * np.pi * v) - (x - m) ** 2 / (2.0 * v)
+                for m, v, w in zip(means, variances, weights)]
+    return float(np.logaddexp(*per_comp).sum())
+
+
 class TestFitGmm:
     def test_recovers_planted_means(self):
         gmm = partition.fit_gmm_1d(planted_mixture())
@@ -35,10 +42,26 @@ class TestFitGmm:
             ll = gmm.log_likelihood_history
             assert all(b - a >= -1e-10 for a, b in zip(ll, ll[1:]))
 
+    def test_last_history_entry_scores_returned_parameters(self):
+        # small caps stop the loop while the likelihood still moves by far more
+        # than tol, so an entry one M step behind would not match
+        for seed, max_iters in [(0, 1), (1, 2), (2, 5), (3, 100), (4, 100)]:
+            rng = np.random.default_rng(seed)
+            x = np.concatenate([rng.normal(0.3, 0.1, 300), rng.normal(0.6, 0.2, 200)])
+            gmm = partition.fit_gmm_1d(x, max_iters=max_iters)
+            history = gmm.log_likelihood_history
+            assert 2 <= len(history) <= max_iters + 1
+            oracle = mixture_log_likelihood(x, gmm.means, gmm.variances, gmm.weights)
+            assert abs(history[-1] - oracle) <= 1e-11 * abs(oracle)
+            if max_iters < 100:
+                assert abs(history[-1] - history[-2]) > 1e-3
+
     def test_all_equal_losses_degenerate(self):
         gmm = partition.fit_gmm_1d(np.full(20, 0.3))
-        assert gmm.degenerate
-        assert np.allclose(partition.clean_probability(gmm, np.linspace(0, 1, 7)), 0.5)
+        assert gmm.means[0] == gmm.means[1]
+        assert np.array_equal(gmm.variances, np.full(2, partition.VARIANCE_FLOOR))
+        assert np.array_equal(gmm.weights, [0.5, 0.5])
+        assert (partition.clean_probability(gmm, np.linspace(0, 1, 7)) == 0.5).all()
 
     def test_too_few_values_rejected(self):
         with pytest.raises(ParameterError):
@@ -154,13 +177,17 @@ class TestSupportSet:
         assert len(partition.support_set(state)) == 0
 
     def test_matches_brute_force_window_scan(self):
+        # every prefix of the history, including those shorter than the window
         rng = np.random.default_rng(21)
-        n, v, epochs = 300, 4, 9
-        history = rng.integers(0, 2, size=(epochs, n))
-        state = partition.SelectionState(n, v)
-        self._push(state, history)
-        expected = [i for i in range(n) if history[-v:, i].all()]
-        assert list(partition.support_set(state)) == expected
+        n, epochs = 300, 9
+        for v in range(1, 6):
+            history = (rng.random((epochs, n)) < 0.8).astype(int)
+            state = partition.SelectionState(n, v)
+            assert len(partition.support_set(state)) == 0
+            for e in range(1, epochs + 1):
+                state.push_indicators(history[e - 1])
+                expected = [i for i in range(n) if e >= v and history[e - v:e, i].all()]
+                assert list(partition.support_set(state)) == expected, (v, e)
 
     def test_support_subset_of_current_labeled(self):
         rng = np.random.default_rng(13)
@@ -170,13 +197,6 @@ class TestSupportSet:
         for _ in range(5):
             labeled, _, _ = partition.partition_epoch(state, rng.random(100), gmm, 0.5)
         assert set(partition.support_set(state)) <= set(labeled)
-
-    def test_record_view_reports_window(self):
-        state = partition.SelectionState(2, 3)
-        self._push(state, [[1, 0], [0, 1], [1, 1], [1, 0]])
-        rec = state.record(0)
-        assert rec.window == (0, 1, 1)
-        assert rec.sample_id == 0
 
 
 class TestNormalizeLosses:
