@@ -68,11 +68,11 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _net_inputs(features, path, nets):
-    """features, once their width is checked against the saved nets."""
-    if features.shape[1] != nets[0].input_dim:
+def _net_inputs(features, path, input_dim):
+    """features, once their width is checked against the saved nets' input width."""
+    if features.shape[1] != input_dim:
         raise ConfigError(f"{path} has {features.shape[1]} feature columns, "
-                          f"the saved nets take {nets[0].input_dim}")
+                          f"the saved nets take {input_dim}")
     return features
 
 
@@ -83,15 +83,20 @@ def _cmd_ood_eval(args) -> int:
     if not model_paths:
         raise FileNotFoundError(f"no saved models under {run_dir / 'models'}")
     nets = [load_model(p) for p in model_paths]
+    for path, net in zip(model_paths, nets):
+        if net.input_dim != config.input_dim:
+            raise ConfigError(f"{path} takes {net.input_dim} inputs, "
+                              f"config.json says input_dim {config.input_dim}")
     if args.id_csv:
         id_inputs = _net_inputs(data_mod.read_dataset_csv(args.id_csv).features,
-                                args.id_csv, nets)
+                                args.id_csv, config.input_dim)
     else:
         _, test_set, _, _ = build_datasets(config)
         id_inputs = test_set.features
     results = {}
     for ood_csv in args.ood_csv:
-        ood_inputs = _net_inputs(data_mod.read_features_csv(ood_csv), ood_csv, nets)
+        ood_inputs = _net_inputs(data_mod.read_features_csv(ood_csv), ood_csv,
+                                 config.input_dim)
         results[Path(ood_csv).stem] = evaluate_ood(nets, id_inputs, ood_inputs,
                                                    config.energy_temperature)
     text = json.dumps(results, indent=2, sort_keys=True)
@@ -115,9 +120,14 @@ def _ablate_variants(grid: str, config: RunConfig):
 
 def _cmd_ablate(args) -> int:
     config = _load_config(args)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError:
+        seeds = None
     if not seeds:
-        raise ConfigError("need at least one seed")
+        raise ConfigError("--seeds must be comma-separated nonnegative integers")
+    for seed in seeds:
+        config.replace(seed=seed)  # RunConfig rejects a bad seed before any run starts
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -146,8 +146,12 @@ def sample_candidates(envelope: Envelope, centroids: CentroidSet, features: np.n
 
 def min_centroid_distances(points: np.ndarray, centroids: CentroidSet) -> np.ndarray:
     points = np.atleast_2d(points)
-    diffs = points[:, None, :] - centroids.centers[None, :, :]
-    return np.sqrt((diffs ** 2).sum(axis=2)).min(axis=1)
+    # one centroid at a time, no (n, K, d) temporary; sqrt is monotone, so the
+    # root of the minimum is bit for bit the minimum of the roots
+    sq = np.full(len(points), np.inf)
+    for c in centroids.centers:
+        sq = np.minimum(sq, ((points - c) ** 2).sum(axis=1))
+    return np.sqrt(sq)
 
 
 def filter_outliers(candidates: np.ndarray, centroids: CentroidSet, reject_radius: float,

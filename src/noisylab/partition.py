@@ -1,8 +1,10 @@
 """Loss-based sample partitioning.
 
 Per-sample losses (min-max normalized to [0, 1]) are modeled by a
-two-component 1-D Gaussian mixture fit with EM. The posterior of the
-small-mean component is the per-sample clean probability; thresholding
+two-component 1-D Gaussian mixture fit with EM. Responsibilities are
+held as a (2, n) array, one row per component, so no step reduces over
+the 2-wide axis. The posterior of the small-mean component (row
+`small_idx`) is the per-sample clean probability; thresholding
 it splits the dataset, and a per-sample count of consecutive clean
 epochs keeps only samples that stayed on the clean side for the last
 `window` epochs — the support set.
@@ -40,14 +42,24 @@ class Gmm1d:
 
 
 def _e_step(x: np.ndarray, means, variances, weights):
-    """(n, 2) component responsibilities and the total log-likelihood of x."""
-    diff = x[:, None] - means[None, :]
-    logp = (-0.5 * (_LOG_2PI + np.log(variances)[None, :] + diff ** 2 / variances[None, :])
-            + np.log(weights)[None, :])
-    m = logp.max(axis=1, keepdims=True)
+    """(2, n) component responsibilities and the total log-likelihood of x."""
+    diff = x[None, :] - means[:, None]
+    logp = (-0.5 * (_LOG_2PI + np.log(variances)[:, None] + diff ** 2 / variances[:, None])
+            + np.log(weights)[:, None])
+    # two components: exact max and sum without a reduction over the 2-wide axis
+    m = np.maximum(logp[0], logp[1])
     p = np.exp(logp - m)
-    total = p.sum(axis=1, keepdims=True)
-    return p / total, float((m[:, 0] + np.log(total[:, 0])).sum())
+    total = p[0] + p[1]
+    return p / total, float((m + np.log(total)).sum())
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums along each row of a (2, n) array, added left to right.
+
+    A running sum, not pairwise `.sum()` or a dot product: it adds in the
+    same order as a column sum of the (n, 2) layout, so fits keep every bit.
+    """
+    return np.cumsum(a, axis=1)[:, -1]
 
 
 def fit_gmm_1d(losses, max_iters: int = 100, tol: float = 1e-6) -> Gmm1d:
@@ -74,11 +86,10 @@ def fit_gmm_1d(losses, max_iters: int = 100, tol: float = 1e-6) -> Gmm1d:
     history = [ll]
     for _ in range(max_iters):
         # M step, then the E step of the new parameters, which also scores them
-        counts = resp.sum(axis=0)
-        counts = np.maximum(counts, 1e-300)
-        means = (resp * x[:, None]).sum(axis=0) / counts
-        diff = x[:, None] - means[None, :]
-        variances = np.maximum((resp * diff ** 2).sum(axis=0) / counts, VARIANCE_FLOOR)
+        counts = np.maximum(_row_sums(resp), 1e-300)
+        means = _row_sums(resp * x) / counts
+        diff = x[None, :] - means[:, None]
+        variances = np.maximum(_row_sums(resp * diff ** 2) / counts, VARIANCE_FLOOR)
         weights = counts / len(x)
 
         resp, ll = _e_step(x, means, variances, weights)
@@ -93,7 +104,7 @@ def fit_gmm_1d(losses, max_iters: int = 100, tol: float = 1e-6) -> Gmm1d:
 def clean_probability(gmm: Gmm1d, loss) -> np.ndarray:
     """Posterior of the small-mean component at the given loss values (1-D array)."""
     x = np.atleast_1d(np.asarray(loss, dtype=np.float64))
-    return _e_step(x, gmm.means, gmm.variances, gmm.weights)[0][:, gmm.small_idx]
+    return _e_step(x, gmm.means, gmm.variances, gmm.weights)[0][gmm.small_idx]
 
 
 def normalize_losses(losses: np.ndarray) -> np.ndarray:

@@ -158,6 +158,19 @@ class TestFilter:
             d = min(np.linalg.norm(z - c) for c in cents.centers)
             assert (d > tau) == (tuple(z) in kept)
 
+    def test_min_distances_match_broadcast_formula(self):
+        # the (n, K, d) broadcast the kernel replaced; d on both sides of
+        # numpy's 8-element summation block
+        rng = np.random.default_rng(14)
+        for k in (1, 2, 4, 7):
+            for d in (2, 5, 8, 9, 16, 33):
+                cents = geometry.CentroidSet(np.arange(k), rng.normal(size=(k, d)))
+                cand = rng.normal(size=(300, d)) * rng.uniform(0.1, 10.0)
+                diffs = cand[:, None, :] - cents.centers[None, :, :]
+                expected = np.sqrt((diffs ** 2).sum(axis=2)).min(axis=1)
+                got = geometry.min_centroid_distances(cand, cents)
+                assert np.array_equal(got, expected), (k, d)
+
     def test_empty_acceptance_allowed(self):
         cents = geometry.CentroidSet(np.array([0]), np.zeros((1, 2)))
         batch = geometry.filter_outliers(np.zeros((5, 2)), cents, 1.0)

@@ -20,6 +20,14 @@ INPUT_DIM = RunConfig().input_dim
 FEATURE_HEADER = "id," + ",".join(f"f{j}" for j in range(INPUT_DIM)) + "\n"
 
 
+def widened(net):
+    """A copy of net whose first layer takes one more input column."""
+    first = net.layers[0]
+    wider = nn.DenseLayer(np.hstack([first.weights, np.zeros((first.out_dim, 1))]),
+                          first.bias, first.activation)
+    return nn.DenseNet([wider] + net.layers[1:], net.extractor_end, net.classifier_end)
+
+
 @pytest.fixture(scope="module")
 def smoke_report():
     return run_experiment(RunConfig(seed=3, **SMOKE))
@@ -44,7 +52,7 @@ class TestConfig:
         for key, value in [("noise_rate", 1.5), ("tau_clean", 0.0), ("gce_q", 2.0),
                            ("sampler", "sobol"), ("total_epochs", 3), ("lr", -0.1),
                            ("batch_size", 1), ("window", 0), ("lambda_u", -1.0),
-                           ("sharpen_temperature", 0.0)]:
+                           ("sharpen_temperature", 0.0), ("seed", -1)]:
             base = {"warmup_epochs": 5} if key == "total_epochs" else {}
             with pytest.raises(ConfigError):
                 RunConfig.from_dict({key: value, **base})
@@ -312,22 +320,46 @@ class TestCli:
         assert rc == 2
         assert err.startswith("config error: ") and err.count("\n") == 1, err
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda path: path.write_text("not a model\n"),
-        lambda path: np.savez(path, w0=np.zeros((2, 2)), b0=np.zeros(2)),
-        lambda path: np.savez(path, w0=np.zeros((4, INPUT_DIM)), b0=np.zeros(3),
-                              activations=np.array(["relu"]), splits=np.array([1, 1])),
-    ], ids=["text-file", "no-activations", "mismatched-arrays"])
-    def test_bad_model_file_exit_code(self, saved_run, tmp_path, capsys, corrupt):
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda models: (models / "net1.npz").write_text("not a model\n"),
+         "net1.npz: not a saved noisylab model"),
+        (lambda models: np.savez(models / "net1.npz", w0=np.zeros((2, 2)), b0=np.zeros(2)),
+         "net1.npz: not a saved noisylab model"),
+        (lambda models: np.savez(models / "net1.npz", w0=np.zeros((4, INPUT_DIM)),
+                                 b0=np.zeros(3), activations=np.array(["relu"]),
+                                 splits=np.array([1, 1])),
+         "net1.npz: not a saved noisylab model"),
+        (lambda models: save_model(widened(load_model(models / "net1.npz")),
+                                   models / "net2.npz"),
+         f"net2.npz takes {INPUT_DIM + 1} inputs, config.json says input_dim {INPUT_DIM}"),
+    ], ids=["text-file", "no-activations", "mismatched-arrays", "net2-wider-input"])
+    def test_bad_model_file_exit_code(self, saved_run, tmp_path, capsys, corrupt, message):
         run_dir = tmp_path / "run"
         shutil.copytree(saved_run, run_dir)
-        corrupt(run_dir / "models" / "net1.npz")
+        corrupt(run_dir / "models")
         capsys.readouterr()
         rc = cli_main(["ood-eval", "--run-dir", str(run_dir), "--ood-csv", "unread.csv"])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("config error: ") and err.count("\n") == 1, err
-        assert "net1.npz: not a saved noisylab model" in err
+        assert message in err, err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--seed", "-5"],
+        ["ablate", "--grid", "vos", "--seeds", "a"],
+        ["ablate", "--grid", "vos", "--seeds", "1,-2"],
+        ["ablate", "--grid", "vos", "--seeds", ","],
+    ], ids=["train-negative-seed", "ablate-non-integer-seeds", "ablate-negative-seed",
+            "ablate-no-seeds"])
+    def test_bad_seed_exit_code(self, tmp_path, capsys, argv):
+        if argv[0] == "ablate":
+            argv = argv + ["--out-dir", str(tmp_path / "ab")]
+        capsys.readouterr()
+        rc = cli_main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "ab").exists()
 
     def test_io_error_exit_code(self, tmp_path):
         assert cli_main(["ood-eval", "--run-dir", str(tmp_path / "missing"),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import gmm_oracle
 from noisylab import partition
 from noisylab.errors import ParameterError
 
@@ -55,6 +56,37 @@ class TestFitGmm:
             assert abs(history[-1] - oracle) <= 1e-11 * abs(oracle)
             if max_iters < 100:
                 assert abs(history[-1] - history[-2]) > 1e-3
+
+    def test_matches_n2_oracle_bit_for_bit(self):
+        # the (2, n) fit must add in the order of the (n, 2) one: a pairwise
+        # `.sum()` or a dot product in the M step moves bits for n past
+        # numpy's 8-element block, so sizes run from 2 to 3000
+        rng = np.random.default_rng(17)
+        sizes = [2, 3, 7, 8, 9, 16, 17] + [int(v) for v in rng.integers(10, 3000, 193)]
+        for case, n in enumerate(sizes):
+            kind = case % 4
+            if kind == 0:
+                x = rng.random(n)
+            elif kind == 1:
+                x = np.where(rng.random(n) < 0.6, rng.normal(0.1, 0.05, n),
+                             rng.normal(0.7, 0.1, n))
+            elif kind == 2:
+                x = rng.beta(0.5, 2.0, n)
+            else:
+                x = np.round(rng.random(n), 1)  # one decimal: heavy ties
+            max_iters = (1, 2, 5, 100)[(case // 4) % 4]
+            got = partition.fit_gmm_1d(x, max_iters=max_iters)
+            want = gmm_oracle.fit_gmm_1d(x, max_iters=max_iters)
+            label = (case, n, max_iters)
+            assert np.array_equal(got.means, want.means), label
+            assert np.array_equal(got.variances, want.variances), label
+            assert np.array_equal(got.weights, want.weights), label
+            assert got.small_idx == want.small_idx, label
+            assert got.log_likelihood_history == want.log_likelihood_history, label
+            grid = np.linspace(-0.1, 1.1, 301)
+            for values in (x, grid):
+                assert np.array_equal(partition.clean_probability(got, values),
+                                      gmm_oracle.clean_probability(want, values)), label
 
     def test_all_equal_losses_degenerate(self):
         gmm = partition.fit_gmm_1d(np.full(20, 0.3))
