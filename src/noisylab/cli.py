@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, ood-eval, ablate, export-features.
-Exit codes: 0 success, 2 config error, 3 training error, 4 I/O error.
+Exit codes: 0 success, 2 config or input error, 3 training error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from pathlib import Path
 
 from . import data as data_mod
 from .config import RunConfig
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, NoisylabError, TrainingError
 from .geometry import SAMPLERS
-from .harness import build_datasets, evaluate_ood, load_model, run_experiment
+from .harness import build_datasets, load_model, ood_metrics, ood_scores, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,12 +93,14 @@ def _cmd_ood_eval(args) -> int:
     else:
         _, test_set, _, _ = build_datasets(config)
         id_inputs = test_set.features
+    temperature = config.energy_temperature
+    id_scores = ood_scores(nets, id_inputs, temperature)  # shared by every OOD file
     results = {}
     for ood_csv in args.ood_csv:
         ood_inputs = _net_inputs(data_mod.read_features_csv(ood_csv), ood_csv,
                                  config.input_dim)
-        results[Path(ood_csv).stem] = evaluate_ood(nets, id_inputs, ood_inputs,
-                                                   config.energy_temperature)
+        results[Path(ood_csv).stem] = ood_metrics(id_scores,
+                                                  ood_scores(nets, ood_inputs, temperature))
     text = json.dumps(results, indent=2, sort_keys=True)
     print(text)
     if args.out:
@@ -227,6 +229,9 @@ def main(argv=None) -> int:
             context = f" (epoch {exc.epoch}, batch {exc.batch})"
         print(f"training error: {exc}{context}", file=sys.stderr)
         return EXIT_TRAINING
+    except NoisylabError as exc:  # e.g. inputs that drive the nets' scores non-finite
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (OSError, FileNotFoundError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

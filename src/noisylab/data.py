@@ -8,6 +8,9 @@ receives the full dataset, training code receives the view.
 from __future__ import annotations
 
 import csv
+import io
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,22 +265,9 @@ def write_dataset_csv(dataset: LabeledDataset, path) -> None:
 
 
 def read_dataset_csv(path) -> LabeledDataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:3] != ["id", "true_label", "noisy_label"]:
-            raise ConfigError(f"unexpected dataset header in {path}")
-        ids, true_l, noisy_l, feats = [], [], [], []
-        try:
-            for row in reader:
-                ids.append(int(row[0]))
-                true_l.append(int(row[1]))
-                noisy_l.append(int(row[2]))
-                feats.append([float(v) for v in row[3:]])
-        except (ValueError, IndexError) as exc:
-            raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from exc
-    return LabeledDataset(np.array(ids), _feature_matrix(path, feats, len(header) - 3),
-                          np.array(true_l), np.array(noisy_l))
+    ids, true_l, noisy_l, features = _read_csv(path, ("id", "true_label", "noisy_label"),
+                                               int_lead=True)
+    return LabeledDataset(ids, features, true_l, noisy_l)
 
 
 def write_features_csv(features: np.ndarray, path) -> None:
@@ -290,28 +280,86 @@ def write_features_csv(features: np.ndarray, path) -> None:
 
 
 def read_features_csv(path) -> np.ndarray:
+    return _read_csv(path, ("id",), int_lead=False)[-1]  # the id cells are not kept
+
+
+def _read_csv(path, lead: tuple, int_lead: bool) -> list:
+    """The `lead` columns and the (n, width) feature matrix, each C-contiguous.
+
+    The header is split with `csv` and gives the width; numpy's C reader
+    parses the body once. Cells are comma-separated, optionally in double
+    quotes; lead cells are 64-bit integers if `int_lead`, else ignored text;
+    features must be finite. numpy skips blank lines, so a row count other
+    than the line count means one. A bad body goes to `_bad_line_error`.
+    """
+    with open(path) as fh:  # universal newlines: \r\n and \r end a line as \n does
+        header = next(csv.reader([fh.readline()]), [])
+        body = fh.read()
+    if tuple(header[:len(lead)]) != lead:
+        kind = "dataset" if int_lead else "feature"
+        raise ConfigError(f"unexpected {kind} header in {path}")
+    width = len(header) - len(lead)
+    if not body:
+        raise ConfigError(f"{path} holds no data rows")
+    dtype = ([(name, np.int64 if int_lead else "U0") for name in lead]
+             + [("features", np.float64, (width,))])
+    try:
+        with warnings.catch_warnings():  # numpy warns when every line is blank
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",",
+                               comments=None, quotechar='"', ndmin=1)
+    except ValueError as exc:
+        raise _bad_line_error(path, len(lead), int_lead, width, str(exc)) from exc
+    n_lines = body.count("\n") + (not body.endswith("\n"))
+    if len(table) != n_lines or not np.isfinite(table["features"]).all():
+        raise _bad_line_error(path, len(lead), int_lead, width,
+                              f"{len(table)} rows read from {n_lines} lines")
+    return [np.ascontiguousarray(table[name]) for name in table.dtype.names]
+
+
+def _bad_line_error(path, n_lead: int, int_lead: bool, width: int,
+                    reason: str) -> ConfigError:
+    """ConfigError naming the first line whose cells the reader rejects.
+
+    The slow path, taken only after the fast one failed: a Python `csv`
+    scan of each row's cell count and cells. `reason` is the message when
+    no single line is to blame.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:1] != ["id"]:
-            raise ConfigError(f"unexpected feature header in {path}")
-        try:
-            rows = [[float(v) for v in row[1:]] for row in reader]
-        except ValueError as exc:
-            raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from exc
-    return _feature_matrix(path, rows, len(header) - 1)
+        next(reader)
+        for row in reader:
+            problem = _row_problem(row, n_lead, int_lead, width)
+            if problem:
+                return ConfigError(f"{path}, line {reader.line_num}: {problem}")
+    return ConfigError(f"{path}: {reason}")
 
 
-def _feature_matrix(path, rows: list, width: int) -> np.ndarray:
-    """Rows as an (n, width) array; ConfigError naming the first bad line."""
-    if not rows:
-        raise ConfigError(f"{path} holds no data rows")
+def _row_problem(row: list, n_lead: int, int_lead: bool, width: int) -> str | None:
+    if not row:
+        return "blank line"
+    if len(row) != n_lead + width:
+        return f"{len(row)} cells, the header names {n_lead + width}"
+    for cell in row[:n_lead] if int_lead else ():
+        if not _cell_ok(cell, int):
+            return f"{cell!r} is not a 64-bit integer"
+    for cell in row[n_lead:]:
+        if not _cell_ok(cell, float):
+            return f"{cell!r} is not a finite number"
+    return None
+
+
+def _cell_ok(cell: str, parse) -> bool:
+    """Whether numpy's reader takes `cell` as an int64 (`parse` int) or a finite float.
+
+    Python's int() and float() also take digit separators (`1_0`) and
+    non-ASCII digits; numpy's reader does not.
+    """
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        return False
     try:
-        out = np.array(rows, dtype=np.float64)
-    except ValueError:  # ragged rows
-        out = None
-    if out is None or out.shape[1] != width:
-        line, row = next((i, r) for i, r in enumerate(rows, start=2) if len(r) != width)
-        raise ConfigError(f"{path}, line {line}: {len(row)} feature values, "
-                          f"the header names {width}")
-    return out
+        value = parse(text)
+    except ValueError:
+        return False
+    return -2 ** 63 <= value < 2 ** 63 if parse is int else math.isfinite(value)

@@ -22,7 +22,7 @@ import numpy as np
 from . import data as data_mod
 from . import geometry, metrics, nn, partition, semisup
 from .config import RunConfig
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, ParameterError, TrainingError
 
 SCHEMA_VERSION = 1
 
@@ -109,17 +109,28 @@ def load_model(path) -> nn.DenseNet:
 
 
 def ood_scores(nets, inputs: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Negated mean energy across networks: higher = more in-distribution."""
-    e = np.mean([nn.energies(nn.forward_batch(net, inputs).logits, temperature)
-                 for net in nets], axis=0)
+    """Negated mean energy across networks: higher = more in-distribution.
+
+    ParameterError if some input rows overflow the nets to a non-finite score.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.mean([nn.energies(nn.forward_batch(net, inputs).logits, temperature)
+                     for net in nets], axis=0)
+    n_bad = np.count_nonzero(~np.isfinite(e))
+    if n_bad:
+        raise ParameterError(f"{n_bad} of {len(e)} input rows overflow the nets "
+                             "to a non-finite OOD score")
     return -e
 
 
+def ood_metrics(id_s: np.ndarray, ood_s: np.ndarray) -> dict:
+    """AUROC and FPR95 of ID against OOD scores (higher = more in-distribution)."""
+    return {"auroc": metrics.auroc(id_s, ood_s), "fpr95": metrics.fpr_at_95_tpr(id_s, ood_s)}
+
+
 def evaluate_ood(nets, id_inputs, ood_inputs, temperature: float = 1.0) -> dict:
-    id_s = ood_scores(nets, id_inputs, temperature)
-    ood_s = ood_scores(nets, ood_inputs, temperature)
-    return {"auroc": metrics.auroc(id_s, ood_s),
-            "fpr95": metrics.fpr_at_95_tpr(id_s, ood_s)}
+    return ood_metrics(ood_scores(nets, id_inputs, temperature),
+                       ood_scores(nets, ood_inputs, temperature))
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +598,8 @@ class Experiment:
         return self.report
 
     def _finalize_summary(self):
-        cfg = self.config
+        temperature = self.config.energy_temperature
+        id_scores = ood_scores(self.nets, self.test_set.features, temperature)
         records = self.report.epochs
         main = [r for r in records if r["phase"] == "main"]
         vols = [r["envelope_log_volume"] for r in main if r["envelope_log_volume"] is not None]
@@ -599,12 +611,8 @@ class Experiment:
             "final_selection_f1": main[-1]["selection_f1"] if main else None,
             "peak_envelope_log_volume": max(vols) if vols else None,
             "final_envelope_log_volume": vols[-1] if vols else None,
-            "ood": {
-                "far": evaluate_ood(self.nets, self.test_set.features, self.ood_far,
-                                    cfg.energy_temperature),
-                "near": evaluate_ood(self.nets, self.test_set.features, self.ood_near,
-                                     cfg.energy_temperature),
-            },
+            "ood": {regime: ood_metrics(id_scores, ood_scores(self.nets, inputs, temperature))
+                    for regime, inputs in (("far", self.ood_far), ("near", self.ood_near))},
         }
         self.report.summary = summary
 

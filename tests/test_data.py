@@ -1,7 +1,14 @@
 """Dataset generation, noise injection, OOD sets, and CSV round trips."""
 
+import re
+import tempfile
+from pathlib import Path
+
+import csv_oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisylab import data
 from noisylab.errors import ConfigError
@@ -190,4 +197,134 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("id,true_label,noisy_label,f0\n0,1,1,0.5\n1,x,1,0.5\n")
         with pytest.raises(ConfigError, match="line 3"):
+            data.read_dataset_csv(path)
+
+
+# cells that neither Python's int()/float() nor numpy's reader take as a number
+TEXT_CELLS = ("abc", "1.2.3", "", "--1", "0x1f", "1e", "#3")
+
+
+@st.composite
+def csv_files(draw):
+    """(kind, file text, corruption): a valid dataset or feature CSV, at most
+    one corruption applied.
+
+    Cells are written with `.17g` or `repr`, padded with spaces and tabs,
+    optionally quoted; lines end in \\n, \\r\\n or \\r.
+    """
+    kind = draw(st.sampled_from(["dataset", "features"]))
+    width = draw(st.integers(1, 5))
+    lead = ["id", "true_label", "noisy_label"] if kind == "dataset" else ["id"]
+
+    def cell(text):
+        pad = st.text(alphabet=" \t", max_size=2)
+        text = draw(pad) + text + draw(pad)
+        return f'"{text}"' if draw(st.booleans()) else text
+
+    def number():
+        value = draw(st.floats(allow_nan=False, allow_infinity=False))
+        return cell(format(value, ".17g") if draw(st.booleans()) else repr(value))
+
+    def lead_cell():
+        if kind == "dataset":
+            return cell(str(draw(st.integers(-2 ** 63, 2 ** 63 - 1))))
+        return cell(draw(st.text(alphabet="ab #-_.0123456789", max_size=6)))
+
+    quote_header = draw(st.booleans())
+    header = [f'"{name}"' if quote_header else name
+              for name in lead + [f"f{j}" for j in range(width)]]
+    rows = [[lead_cell() for _ in lead] + [number() for _ in range(width)]
+            for _ in range(draw(st.integers(1, 6)))]
+
+    corruption = draw(st.sampled_from([None, "drop", "extra", "text", "blank", "header-only"]))
+    i = draw(st.integers(0, len(rows) - 1))
+    if corruption == "drop":
+        del rows[i][draw(st.integers(0, len(rows[i]) - 1))]
+    elif corruption == "extra":
+        rows[i].insert(draw(st.integers(0, len(rows[i]))), number())
+    elif corruption == "text":
+        rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(TEXT_CELLS))
+    elif corruption == "blank":
+        rows.insert(draw(st.integers(0, len(rows))), [])
+    elif corruption == "header-only":
+        rows = []
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(",".join(r) for r in [header] + rows)
+    return kind, text + (end if draw(st.booleans()) else ""), corruption
+
+
+def _outcome(read, path):
+    """(result, None) or (None, the line number the ConfigError names, or 0 for none)."""
+    try:
+        return read(path), None
+    except ConfigError as exc:
+        match = re.search(r"line (\d+)", str(exc))
+        return None, int(match.group(1)) if match else 0
+
+
+class TestCsvReaderOracle:
+    """numpy-parsed readers against the Python readers in `csv_oracle`.
+
+    Deliberate differences, outside the property test: a cell that Python
+    parses but numpy's reader does not (digit separators like `1_0`,
+    non-ASCII digits) is rejected now, and so is a non-finite feature
+    (`nan`, `inf`, or a number past the float range), which the Python
+    readers returned. numpy also strips the ASCII separators 0x1c-0x1f
+    around a number, which Python's float() refuses.
+    """
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(csv_files())
+    def test_same_arrays_or_same_bad_line(self, case):
+        kind, text, corruption = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{kind}.csv"
+            path.write_bytes(text.encode())
+            if kind == "dataset":
+                new, new_line = _outcome(data.read_dataset_csv, path)
+                old, old_line = _outcome(csv_oracle.read_dataset_csv, path)
+            else:
+                new, new_line = _outcome(data.read_features_csv, path)
+                old, old_line = _outcome(csv_oracle.read_features_csv, path)
+        assert new_line == old_line, (corruption, text)
+        if new is None:
+            assert corruption is not None
+            return
+        if kind == "dataset":
+            pairs = [(new.ids, old.ids), (new.true_labels, old.true_labels),
+                     (new.noisy_labels, old.noisy_labels), (new.features, old.features)]
+        else:
+            pairs = [(new, old)]
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags["C_CONTIGUOUS"]
+            assert got.tobytes() == want.tobytes()  # == to the bit, -0.0 included
+
+    @pytest.mark.parametrize("header, rows", [
+        ("id,f0,f1", "0,1.0,2.0\n1,1_0,2.0\n"),
+        ("id,f0,f1", "0,1.0,2.0\n1,1.0,\u0663\n"),
+        ("id,true_label,noisy_label,f0", "0,1,1,1.0\n1_0,1,1,1.0\n"),
+        ("id,true_label,noisy_label,f0", "0,1,1,1.0\n\u0661,1,1,1.0\n"),
+    ], ids=["separator-float", "arabic-indic-float", "separator-int", "arabic-indic-int"])
+    def test_python_only_numbers_rejected(self, tmp_path, header, rows):
+        path = tmp_path / "t.csv"
+        path.write_text(f"{header}\n{rows}", encoding="utf-8")
+        dataset = header.startswith("id,true_label")
+        oracle = csv_oracle.read_dataset_csv if dataset else csv_oracle.read_features_csv
+        oracle(path)  # Python's int()/float() take the cell
+        with pytest.raises(ConfigError, match="line 3: .* is not a"):
+            (data.read_dataset_csv if dataset else data.read_features_csv)(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "Infinity", "1e999"])
+    def test_non_finite_feature_names_the_line(self, tmp_path, cell):
+        path = tmp_path / "ood.csv"
+        path.write_text(f"id,f0,f1\n0,1.0,2.0\n1,{cell},2.0\n2,1.0,2.0\n")
+        assert not np.isfinite(csv_oracle.read_features_csv(path)).all()
+        with pytest.raises(ConfigError, match=f"line 3: '{cell}' is not a finite number"):
+            data.read_features_csv(path)
+
+    def test_blank_line_names_the_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("id,true_label,noisy_label,f0\n0,1,1,0.5\n\n1,0,1,0.5\n")
+        with pytest.raises(ConfigError, match="line 3: blank line"):
             data.read_dataset_csv(path)

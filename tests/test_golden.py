@@ -18,6 +18,7 @@ import pytest
 
 import noisylab
 from noisylab import RunConfig, run_experiment
+from noisylab.cli import main as cli_main
 
 SMALL = dict(n_train=300, n_test=100, ood_n=60, warmup_epochs=2, total_epochs=8)
 
@@ -36,6 +37,12 @@ GOLDEN = {
         "3e3843d5c26796986a165ef0320bfac08c7d38d0fe52d8ee6d6393e0d1328792",
     ),
 }
+
+# `noisylab ood-eval` of the blobs-seed3 run on the ID and OOD CSVs that
+# `gen-data` writes for the same config; the far set lies wholly on the
+# wrong side of this short run's ID scores, the near set does not
+GOLDEN_OOD_EVAL = {"ood_far": {"auroc": 0.0, "fpr95": 1.0},
+                   "ood_near": {"auroc": 0.5366666666666666, "fpr95": 0.9333333333333333}}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -63,3 +70,16 @@ def test_report_digest_independent_of_blas_threads():
         assert proc.returncode == 0, proc.stderr
         digests[threads] = proc.stdout.strip()
     assert digests == {"1": expected, "2": expected}
+
+
+def test_ood_eval_json(tmp_path, capsys):
+    kwargs, _ = GOLDEN["blobs-seed3"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(kwargs))
+    run, csvs = tmp_path / "run", tmp_path / "data"
+    assert cli_main(["train", "--config", str(config), "--out-dir", str(run)]) == 0
+    assert cli_main(["gen-data", "--config", str(config), "--out-dir", str(csvs)]) == 0
+    capsys.readouterr()
+    assert cli_main(["ood-eval", "--run-dir", str(run), "--id-csv", str(csvs / "test.csv"),
+                     "--ood-csv", str(csvs / "ood_far.csv"), str(csvs / "ood_near.csv")]) == 0
+    assert capsys.readouterr().out == json.dumps(GOLDEN_OOD_EVAL, indent=2, sort_keys=True) + "\n"

@@ -310,7 +310,9 @@ class TestCli:
         "id,f0,f1,f2\n0,1.0,2.0,3.0\n",
         FEATURE_HEADER + "0,abc" + ",1.0" * (INPUT_DIM - 1) + "\n",
         FEATURE_HEADER,
-    ], ids=["narrower-than-nets", "non-numeric", "header-only"])
+        FEATURE_HEADER + "0,nan" + ",1.0" * (INPUT_DIM - 1) + "\n",
+        FEATURE_HEADER + "0" + ",1.0" * (INPUT_DIM - 1) + ",-inf\n",
+    ], ids=["narrower-than-nets", "non-numeric", "header-only", "nan-cell", "inf-cell"])
     def test_malformed_ood_csv_exit_code(self, saved_run, tmp_path, capsys, body):
         path = tmp_path / "ood.csv"
         path.write_text(body)
@@ -319,6 +321,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+    def test_ood_rows_that_overflow_the_nets_exit_code(self, saved_run, tmp_path, capsys):
+        # finite cells whose products overflow the nets (-1e308 cells are enough for
+        # default-config nets; these smaller smoke nets need -1.7e308)
+        path = tmp_path / "ood.csv"
+        path.write_text(FEATURE_HEADER + "0" + ",-1.7e308" * INPUT_DIM + "\n")
+        capsys.readouterr()
+        rc = cli_main(["ood-eval", "--run-dir", str(saved_run), "--ood-csv", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "error: 1 of 1 input rows overflow the nets to a non-finite OOD score\n"
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda models: (models / "net1.npz").write_text("not a model\n"),
