@@ -10,11 +10,32 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 from .data import GENERATORS, NOISE_MODES
 from .errors import ConfigError
 from .geometry import SAMPLERS
+
+
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, never a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(name: str, value) -> int:
+    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _finite_float(name: str, value) -> float:
+    try:
+        if _is_number(value) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass
@@ -148,23 +169,20 @@ class RunConfig:
             if f.name not in raw:
                 continue
             value = raw[f.name]
-            try:
-                if f.name == "hidden_dims":
-                    typed[f.name] = tuple(int(v) for v in value)
-                elif f.type.startswith("bool") or isinstance(f.default, bool):
-                    if not isinstance(value, bool):
-                        raise ConfigError(f"{f.name} must be a boolean")
-                    typed[f.name] = value
-                elif isinstance(f.default, int) and not isinstance(f.default, bool):
-                    if isinstance(value, bool) or int(value) != value:
-                        raise ConfigError(f"{f.name} must be an integer")
-                    typed[f.name] = int(value)
-                elif isinstance(f.default, float):
-                    typed[f.name] = float(value)
-                else:
-                    typed[f.name] = value
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {f.name}: {value!r}") from exc
+            if f.name == "hidden_dims":
+                if not isinstance(value, list):
+                    raise ConfigError(f"hidden_dims must be a list of integers, got {value!r}")
+                typed[f.name] = tuple(_integer(f.name, v) for v in value)
+            elif isinstance(f.default, bool):
+                if not isinstance(value, bool):
+                    raise ConfigError(f"{f.name} must be a boolean")
+                typed[f.name] = value
+            elif isinstance(f.default, int):
+                typed[f.name] = _integer(f.name, value)
+            elif isinstance(f.default, float):
+                typed[f.name] = _finite_float(f.name, value)
+            else:
+                typed[f.name] = value
         return cls(**typed)
 
     @classmethod

@@ -114,7 +114,7 @@ def ood_scores(nets, inputs: np.ndarray, temperature: float = 1.0) -> np.ndarray
     ParameterError if some input rows overflow the nets to a non-finite score.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        e = np.mean([nn.energies(nn.forward_batch(net, inputs).logits, temperature)
+        e = np.mean([nn.energies(nn.predict_logits(net, inputs), temperature)
                      for net in nets], axis=0)
     n_bad = np.count_nonzero(~np.isfinite(e))
     if n_bad:
@@ -271,11 +271,11 @@ class Experiment:
     # -- shared helpers ----------------------------------------------------
 
     def _per_sample_gce(self, net) -> np.ndarray:
-        probs = nn.softmax(nn.forward_batch(net, self.view.features).logits)
+        probs = nn.softmax(nn.predict_logits(net, self.view.features))
         return nn.gce_losses(probs, self.view.noisy_labels, self.config.gce_q)
 
     def _test_accuracy(self) -> float:
-        probs = np.mean([nn.softmax(nn.forward_batch(net, self.test_set.features).logits)
+        probs = np.mean([nn.softmax(nn.predict_logits(net, self.test_set.features))
                          for net in self.nets], axis=0)
         return metrics.accuracy(probs, self.test_set.true_labels)
 
@@ -442,7 +442,7 @@ class Experiment:
         yb = self.view.noisy_labels[xb_ids]
         wb = w[xb_ids]
         x_views = [self._weak(xb), self._weak(xb)]
-        preds = [nn.softmax(nn.forward_batch(peer, v).logits)
+        preds = [nn.softmax(nn.predict_logits(peer, v))
                  for peer in self.nets for v in x_views]
         tx = semisup.refine_labels(yb, wb, preds, cfg.n_classes, cfg.sharpen_temperature)
 
@@ -450,7 +450,7 @@ class Experiment:
         if len(ub_ids):
             ub = self.view.features[ub_ids]
             u_views = [self._weak(ub) for _ in range(cfg.n_aug)]
-            u_preds = [nn.softmax(nn.forward_batch(peer, v).logits)
+            u_preds = [nn.softmax(nn.predict_logits(peer, v))
                        for peer in self.nets for v in u_views]
             tu = semisup.guess_labels(u_preds, cfg.sharpen_temperature)
 

@@ -139,23 +139,24 @@ def _empty_cache(net: DenseNet) -> ForwardCache:
                         features=np.empty(0))
 
 
-def _activate(pre: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(pre, 0.0)
-    return pre
-
-
 def _run_segment(net: DenseNet, x: np.ndarray, start: int, end: int, cache: ForwardCache | None):
+    """Layers [start, end) on x; with cache=None nothing is kept for backprop."""
     out = x
     for i in range(start, end):
         layer = net.layers[i]
         if out.shape[1] != layer.in_dim:
             raise ShapeError(f"layer {i} expects width {layer.in_dim}, got {out.shape[1]}")
-        pre = out @ layer.weights.T + layer.bias
+        pre = out @ layer.weights.T
+        pre += layer.bias
         if cache is not None:
             cache.inputs[i] = out
             cache.preacts[i] = pre
-        out = _activate(pre, layer.activation)
+        if layer.activation != "relu":
+            out = pre
+        elif cache is None:
+            out = np.maximum(pre, 0.0, out=pre)
+        else:
+            out = np.maximum(pre, 0.0)  # the cache keeps pre
     return out
 
 
@@ -190,6 +191,15 @@ def forward_batch(net: DenseNet, x: np.ndarray, *, want_logits: bool = True,
     return cache
 
 
+def predict_logits(net: DenseNet, x: np.ndarray) -> np.ndarray:
+    """Classifier logits of x, with no backprop cache: the forward of prediction-only callers.
+
+    Equal, bit for bit, to `forward_batch(net, x).logits`.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    return _run_segment(net, x, 0, net.classifier_end, None)
+
+
 def head_forward(net: DenseNet, features: np.ndarray, cache: ForwardCache | None = None) -> np.ndarray:
     """Classifier logits from feature-space inputs (extractor bypassed)."""
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
@@ -203,9 +213,10 @@ def head_forward(net: DenseNet, features: np.ndarray, cache: ForwardCache | None
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Max-shifted softmax along the last axis."""
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def gce_losses(probs: np.ndarray, y: np.ndarray, q: float = 0.7) -> np.ndarray:
@@ -260,13 +271,6 @@ class GradientBundle:
                    [np.zeros_like(l.weights) for l in net.layers],
                    [np.zeros_like(l.bias) for l in net.layers])
 
-    def add_scaled(self, other: "GradientBundle", scale: float = 1.0) -> None:
-        self.loss += scale * other.loss
-        for dw, ow in zip(self.d_weights, other.d_weights):
-            dw += scale * ow
-        for db, ob in zip(self.d_bias, other.d_bias):
-            db += scale * ob
-
     def is_finite(self) -> bool:
         return (np.isfinite(self.loss)
                 and all(np.isfinite(a).all() for a in self.d_weights)
@@ -274,28 +278,44 @@ class GradientBundle:
 
 
 def _backward_segment(net: DenseNet, cache: ForwardCache, dout: np.ndarray,
-                      start: int, end: int, bundle: GradientBundle) -> np.ndarray:
-    """Backprop dout through layers [start, end), accumulating into bundle."""
+                      start: int, end: int):
+    """Backprop dout through layers [start, end).
+
+    Returns ({layer index: (weight gradient, bias gradient)}, gradient
+    w.r.t. the segment's input). The input gradient of layer 0 is never
+    computed (no parameter sits below it), so a segment from layer 0
+    returns None for it.
+    """
+    grads = {}
     for i in reversed(range(start, end)):
         layer = net.layers[i]
-        pre = cache.preacts[i]
-        dpre = dout * (pre > 0.0) if layer.activation == "relu" else dout
-        bundle.d_weights[i] += dpre.T @ cache.inputs[i]
-        bundle.d_bias[i] += dpre.sum(axis=0)
-        dout = dpre @ layer.weights
-    return dout
+        dpre = dout * (cache.preacts[i] > 0.0) if layer.activation == "relu" else dout
+        grads[i] = (dpre.T @ cache.inputs[i], dpre.sum(axis=0))
+        dout = dpre @ layer.weights if i > 0 else None
+    return grads, dout
+
+
+def _add_grads(bundle: GradientBundle, grads: dict, scale: float = 1.0) -> None:
+    """bundle += scale * grads, layer by layer; scales the fresh grads arrays in place."""
+    for i, (dw, db) in grads.items():
+        if scale != 1.0:
+            dw *= scale
+            db *= scale
+        bundle.d_weights[i] += dw
+        bundle.d_bias[i] += db
 
 
 def backprop_logits(net: DenseNet, cache: ForwardCache, dlogits: np.ndarray,
-                    bundle: GradientBundle, *, into_extractor: bool = True) -> np.ndarray | None:
-    dfeat = _backward_segment(net, cache, dlogits, net.extractor_end, net.classifier_end, bundle)
-    if into_extractor:
-        return _backward_segment(net, cache, dfeat, 0, net.extractor_end, bundle)
-    return dfeat
+                    bundle: GradientBundle) -> None:
+    """Add the parameter gradients of dlogits, through head and extractor, into bundle."""
+    grads, dfeat = _backward_segment(net, cache, dlogits, net.extractor_end, net.classifier_end)
+    _add_grads(bundle, grads)
+    _add_grads(bundle, _backward_segment(net, cache, dfeat, 0, net.extractor_end)[0])
 
 
 def backprop_projection(net: DenseNet, cache: ForwardCache, dproj: np.ndarray,
-                        bundle: GradientBundle) -> np.ndarray:
+                        bundle: GradientBundle, scale: float = 1.0) -> None:
+    """Add scale times dproj's parameter gradients, through projector and extractor, into bundle."""
     # through z = u / |u|: du = (dz - (dz . z) z) / |u|; degenerate rows are constant
     u = cache.projection_raw
     z = cache.projection
@@ -303,10 +323,10 @@ def backprop_projection(net: DenseNet, cache: ForwardCache, dproj: np.ndarray,
     norms = np.where(norms < 1e-30, 1.0, norms)
     draw = (dproj - (dproj * z).sum(axis=1, keepdims=True) * z) / norms
     if cache.degenerate_rows is not None and cache.degenerate_rows.any():
-        draw = draw.copy()
         draw[cache.degenerate_rows] = 0.0
-    dfeat = _backward_segment(net, cache, draw, net.classifier_end, len(net.layers), bundle)
-    return _backward_segment(net, cache, dfeat, 0, net.extractor_end, bundle)
+    grads, dfeat = _backward_segment(net, cache, draw, net.classifier_end, len(net.layers))
+    _add_grads(bundle, grads, scale)
+    _add_grads(bundle, _backward_segment(net, cache, dfeat, 0, net.extractor_end)[0], scale)
 
 
 def _softmax_chain(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
@@ -372,18 +392,21 @@ def ntxent_term(z: np.ndarray, temperature: float):
     m = len(z)
     if m % 2 != 0 or m < 2:
         raise ShapeError("contrastive batch must hold adjacent view pairs")
-    sims = (z @ z.T) / temperature
+    sims = z @ z.T
+    sims /= temperature
     np.fill_diagonal(sims, -np.inf)
     row_max = sims.max(axis=1, keepdims=True)
-    expd = np.exp(sims - row_max)
-    denom = expd.sum(axis=1, keepdims=True)
-    attn = expd / denom  # row-stochastic, zero diagonal
+    dsims = sims - row_max
+    np.exp(dsims, out=dsims)
+    denom = dsims.sum(axis=1, keepdims=True)
+    dsims /= denom  # row-stochastic attention, zero diagonal
     pos = np.arange(m) ^ 1  # partner index within each pair
     log_denom = np.log(denom[:, 0]) + row_max[:, 0]
     value = float((-sims[np.arange(m), pos] + log_denom).mean())
-    dsims = attn / m
+    dsims /= m
     dsims[np.arange(m), pos] -= 1.0 / m
-    dz = ((dsims + dsims.T) @ z) / temperature
+    dz = (dsims + dsims.T) @ z
+    dz /= temperature
     return value, dz
 
 
@@ -417,36 +440,53 @@ def gce_loss_and_grads(net: DenseNet, x: np.ndarray, y: np.ndarray, q: float = 0
 def energy_bce_loss_and_grads(net: DenseNet, *, clean_inputs: np.ndarray | None = None,
                               clean_features: np.ndarray | None = None,
                               outlier_features: np.ndarray | None = None,
-                              temperature: float = 1.0):
+                              temperature: float = 1.0, bundle: GradientBundle | None = None,
+                              scale: float = 1.0):
     """Binary cross entropy on energies: real data low, synthetic outliers high.
 
     Clean samples enter either as raw inputs (gradients reach the
     extractor) or as fixed feature vectors (classifier head only).
     Outliers are always feature-space points.
+
+    Adds scale times the value and the parameter gradients into bundle (a
+    fresh one when None) and returns (value, bundle). The classifier
+    head's gradient is summed over clean and outlier rows before it is
+    scaled.
     """
     if clean_inputs is not None and clean_features is not None:
         raise ParameterError("pass clean samples as inputs or features, not both")
-    bundle = GradientBundle.zeros(net, 0.0)
+    if bundle is None:
+        bundle = GradientBundle.zeros(net)
     value = 0.0
+    head = {}  # classifier-head gradients, summed over the clean and outlier parts
+
+    def _add_head(cache, dlogits):
+        grads, dfeat = _backward_segment(net, cache, dlogits, net.extractor_end,
+                                         net.classifier_end)
+        for i, (dw, db) in grads.items():
+            head[i] = (head[i][0] + dw, head[i][1] + db) if i in head else (dw, db)
+        return dfeat
 
     def _head_only(features, sign):
         cache = _empty_cache(net)
         term, dlogits = energy_bce_term(head_forward(net, features, cache), sign, temperature)
-        backprop_logits(net, cache, dlogits, bundle, into_extractor=False)
+        _add_head(cache, dlogits)
         return term
 
     if clean_inputs is not None:
         cache = forward_batch(net, clean_inputs)
         term, dlogits = energy_bce_term(cache.logits, +1.0, temperature)
         value += term
-        backprop_logits(net, cache, dlogits, bundle)
+        dfeat = _add_head(cache, dlogits)
+        _add_grads(bundle, _backward_segment(net, cache, dfeat, 0, net.extractor_end)[0], scale)
     elif clean_features is not None and len(clean_features):
         value += _head_only(clean_features, +1.0)
 
     if outlier_features is not None and len(outlier_features):
         value += _head_only(outlier_features, -1.0)
 
-    bundle.loss = value
+    _add_grads(bundle, head, scale)
+    bundle.loss += scale * value
     return value, bundle
 
 
@@ -508,16 +548,14 @@ def total_loss_and_grads(net: DenseNet, batch: TotalLossBatch):
         terms["contrastive"], dproj = ntxent_term(c_cache.projection,
                                                   batch.contrast_temperature)
         if batch.lambda_cl > 0.0:
-            scratch = GradientBundle.zeros(net)
-            backprop_projection(net, c_cache, dproj, scratch)
-            bundle.add_scaled(scratch, batch.lambda_cl)
+            backprop_projection(net, c_cache, dproj, bundle, batch.lambda_cl)
 
     support, outliers = _nonempty(batch.support_inputs), _nonempty(batch.outlier_features)
     if support is not None or outliers is not None:
-        terms["energy"], e_bundle = energy_bce_loss_and_grads(
-            net, clean_inputs=support, outlier_features=outliers, temperature=batch.temperature)
-        if batch.lambda_energy > 0.0:
-            bundle.add_scaled(e_bundle, batch.lambda_energy)
+        # a zero weight sends the gradients to a throwaway bundle: 0 * inf would be nan
+        terms["energy"], _ = energy_bce_loss_and_grads(
+            net, clean_inputs=support, outlier_features=outliers, temperature=batch.temperature,
+            bundle=bundle if batch.lambda_energy > 0.0 else None, scale=batch.lambda_energy)
 
     value = (terms["labeled"] + batch.lambda_u * terms["unlabeled"]
              + batch.lambda_reg * terms["prior"] + batch.lambda_cl * terms["contrastive"]

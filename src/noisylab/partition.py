@@ -41,16 +41,29 @@ class Gmm1d:
                 f"variances {self.variances} fall below the floor {VARIANCE_FLOOR}")
 
 
-def _e_step(x: np.ndarray, means, variances, weights):
-    """(2, n) component responsibilities and the total log-likelihood of x."""
-    diff = x[None, :] - means[:, None]
-    logp = (-0.5 * (_LOG_2PI + np.log(variances)[:, None] + diff ** 2 / variances[:, None])
-            + np.log(weights)[:, None])
+def _e_step(sq_diff: np.ndarray, variances, weights):
+    """(2, n) component responsibilities and the total log-likelihood.
+
+    sq_diff holds (x - mean)² per component, a (2, n) array: the M step
+    computes it for the variances, and the E step reuses it.
+    """
+    logp = sq_diff / variances[:, None]
+    logp += (_LOG_2PI + np.log(variances))[:, None]
+    logp *= -0.5
+    logp += np.log(weights)[:, None]
     # two components: exact max and sum without a reduction over the 2-wide axis
     m = np.maximum(logp[0], logp[1])
-    p = np.exp(logp - m)
+    logp -= m
+    p = np.exp(logp, out=logp)
     total = p[0] + p[1]
-    return p / total, float((m + np.log(total)).sum())
+    p /= total
+    return p, float((m + np.log(total)).sum())
+
+
+def _sq_diff(x: np.ndarray, means) -> np.ndarray:
+    """(x - mean)² per component, a (2, n) array."""
+    diff = x[None, :] - means[:, None]
+    return np.square(diff, out=diff)
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -82,17 +95,17 @@ def fit_gmm_1d(losses, max_iters: int = 100, tol: float = 1e-6) -> Gmm1d:
     variances = np.full(2, max(float(x.var()), VARIANCE_FLOOR))
     weights = np.array([0.5, 0.5])
 
-    resp, ll = _e_step(x, means, variances, weights)
+    resp, ll = _e_step(_sq_diff(x, means), variances, weights)
     history = [ll]
     for _ in range(max_iters):
         # M step, then the E step of the new parameters, which also scores them
         counts = np.maximum(_row_sums(resp), 1e-300)
         means = _row_sums(resp * x) / counts
-        diff = x[None, :] - means[:, None]
-        variances = np.maximum(_row_sums(resp * diff ** 2) / counts, VARIANCE_FLOOR)
+        sq_diff = _sq_diff(x, means)
+        variances = np.maximum(_row_sums(resp * sq_diff) / counts, VARIANCE_FLOOR)
         weights = counts / len(x)
 
-        resp, ll = _e_step(x, means, variances, weights)
+        resp, ll = _e_step(sq_diff, variances, weights)
         history.append(ll)
         if abs(history[-1] - history[-2]) < tol:
             break
@@ -104,7 +117,7 @@ def fit_gmm_1d(losses, max_iters: int = 100, tol: float = 1e-6) -> Gmm1d:
 def clean_probability(gmm: Gmm1d, loss) -> np.ndarray:
     """Posterior of the small-mean component at the given loss values (1-D array)."""
     x = np.atleast_1d(np.asarray(loss, dtype=np.float64))
-    return _e_step(x, gmm.means, gmm.variances, gmm.weights)[0][gmm.small_idx]
+    return _e_step(_sq_diff(x, gmm.means), gmm.variances, gmm.weights)[0][gmm.small_idx]
 
 
 def normalize_losses(losses: np.ndarray) -> np.ndarray:

@@ -24,6 +24,19 @@ def sharpen(probs: np.ndarray, temperature: float) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
+def _mean(arrays: list[np.ndarray]) -> np.ndarray:
+    """Elementwise mean of equal-shape arrays, added in list order.
+
+    Equal, bit for bit, to `np.mean(arrays, axis=0)`, which also adds the
+    stacked arrays in order, but without stacking them into a new array.
+    """
+    total = np.array(arrays[0], dtype=np.float64)
+    for a in arrays[1:]:
+        total += a
+    total /= len(arrays)
+    return total
+
+
 def refine_labels(noisy_labels: np.ndarray, clean_probs: np.ndarray,
                   predictions: list[np.ndarray], n_classes: int,
                   temperature: float) -> np.ndarray:
@@ -32,14 +45,14 @@ def refine_labels(noisy_labels: np.ndarray, clean_probs: np.ndarray,
     target = w * onehot(label) + (1 - w) * mean(predictions)
     """
     w = np.asarray(clean_probs)[:, None]
-    mean_pred = np.mean(predictions, axis=0)
+    mean_pred = _mean(predictions)
     blended = w * onehot(noisy_labels, n_classes) + (1.0 - w) * mean_pred
     return sharpen(blended, temperature)
 
 
 def guess_labels(predictions: list[np.ndarray], temperature: float) -> np.ndarray:
     """Average predictions over networks and augmented views, then sharpen."""
-    return sharpen(np.mean(predictions, axis=0), temperature)
+    return sharpen(_mean(predictions), temperature)
 
 
 def apply_mixup(inputs_a, targets_a, inputs_b, targets_b, lam: float):

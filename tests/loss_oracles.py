@@ -1,12 +1,16 @@
-"""Value-only loss oracles, written independently of `noisylab.nn`.
+"""Loss oracles for the terms and the composition of the training step.
 
-They recompute the semi-supervised and contrastive loss values from
-already-computed predictions or projections, with no gradient path, so
-tests can compare them against the terms the training path uses.
+The value-only oracles, written independently of `noisylab.nn`,
+recompute the semi-supervised and contrastive loss values from
+already-computed predictions or projections, so tests can compare them
+against the terms the training path uses. `total_loss_and_grads` below
+is the composition of the step's gradients that `noisylab.nn` replaced,
+kept as an oracle.
 """
 
 import numpy as np
 
+from noisylab import nn
 from noisylab.errors import ParameterError, ShapeError
 from noisylab.nn import CE_EPS
 
@@ -60,3 +64,140 @@ def contrastive_loss(projections: np.ndarray, temperature: float) -> float:
     log_denom = row_max + np.log(np.exp(sims - row_max[:, None]).sum(axis=1))
     pos = np.arange(m) ^ 1
     return float((-sims[np.arange(m), pos] + log_denom).mean())
+
+
+# ---------------------------------------------------------------------------
+# The training step's gradients as `noisylab.nn` used to compose them: each
+# weighted term backpropagated into its own zero-filled full-net bundle, then
+# added into the step's bundle with `add_scaled`; softmax and NT-Xent in their
+# out-of-place form. `nn.total_loss_and_grads` adds each term's gradients
+# straight into one bundle and must agree with this bit for bit.
+
+
+def softmax(logits):
+    logits = np.asarray(logits, dtype=np.float64)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def ntxent_term(z, temperature):
+    m = len(z)
+    sims = (z @ z.T) / temperature
+    np.fill_diagonal(sims, -np.inf)
+    row_max = sims.max(axis=1, keepdims=True)
+    expd = np.exp(sims - row_max)
+    denom = expd.sum(axis=1, keepdims=True)
+    attn = expd / denom
+    pos = np.arange(m) ^ 1
+    log_denom = np.log(denom[:, 0]) + row_max[:, 0]
+    value = float((-sims[np.arange(m), pos] + log_denom).mean())
+    dsims = attn / m
+    dsims[np.arange(m), pos] -= 1.0 / m
+    dz = ((dsims + dsims.T) @ z) / temperature
+    return value, dz
+
+
+def add_scaled(bundle, other, scale):
+    bundle.loss += scale * other.loss
+    for dw, ow in zip(bundle.d_weights, other.d_weights):
+        dw += scale * ow
+    for db, ob in zip(bundle.d_bias, other.d_bias):
+        db += scale * ob
+
+
+def _backward_segment(net, cache, dout, start, end, bundle):
+    for i in reversed(range(start, end)):
+        layer = net.layers[i]
+        dpre = dout * (cache.preacts[i] > 0.0) if layer.activation == "relu" else dout
+        bundle.d_weights[i] += dpre.T @ cache.inputs[i]
+        bundle.d_bias[i] += dpre.sum(axis=0)
+        dout = dpre @ layer.weights
+    return dout
+
+
+def backprop_logits(net, cache, dlogits, bundle, into_extractor=True):
+    dfeat = _backward_segment(net, cache, dlogits, net.extractor_end, net.classifier_end, bundle)
+    if into_extractor:
+        _backward_segment(net, cache, dfeat, 0, net.extractor_end, bundle)
+
+
+def backprop_projection(net, cache, dproj, bundle):
+    u, z = cache.projection_raw, cache.projection
+    norms = np.linalg.norm(u, axis=1, keepdims=True)
+    norms = np.where(norms < 1e-30, 1.0, norms)
+    draw = (dproj - (dproj * z).sum(axis=1, keepdims=True) * z) / norms
+    if cache.degenerate_rows is not None and cache.degenerate_rows.any():
+        draw = draw.copy()
+        draw[cache.degenerate_rows] = 0.0
+    dfeat = _backward_segment(net, cache, draw, net.classifier_end, len(net.layers), bundle)
+    _backward_segment(net, cache, dfeat, 0, net.extractor_end, bundle)
+
+
+def energy_bce_loss_and_grads(net, clean_inputs, outlier_features, temperature):
+    bundle = nn.GradientBundle.zeros(net)
+    value = 0.0
+    if clean_inputs is not None:
+        cache = nn.forward_batch(net, clean_inputs)
+        term, dlogits = nn.energy_bce_term(cache.logits, +1.0, temperature)
+        value += term
+        backprop_logits(net, cache, dlogits, bundle)
+    if outlier_features is not None:
+        cache = nn.ForwardCache([None] * len(net.layers), [None] * len(net.layers),
+                                np.empty(0))
+        term, dlogits = nn.energy_bce_term(nn.head_forward(net, outlier_features, cache),
+                                           -1.0, temperature)
+        value += term
+        backprop_logits(net, cache, dlogits, bundle, into_extractor=False)
+    bundle.loss = value
+    return value, bundle
+
+
+def _nonempty(a):
+    return a if a is not None and len(a) else None
+
+
+def total_loss_and_grads(net, batch):
+    """(value, per-term dict, gradients) of the step, composed with scratch bundles."""
+    terms = dict.fromkeys(nn.LOSS_TERMS, 0.0)
+    bundle = nn.GradientBundle.zeros(net)
+    n_l = len(batch.labeled_inputs)
+    unlabeled = _nonempty(batch.unlabeled_inputs)
+    x_all = (batch.labeled_inputs if unlabeled is None
+             else np.vstack([batch.labeled_inputs, unlabeled]))
+    cache = nn.forward_batch(net, x_all)
+    probs = softmax(cache.logits)
+
+    dlogits = np.zeros_like(probs)
+    terms["labeled"], dlogits[:n_l] = nn.soft_ce_term(probs[:n_l], batch.labeled_targets)
+    if unlabeled is not None:
+        terms["unlabeled"], d_u = nn.mse_term(probs[n_l:], batch.unlabeled_targets)
+        if batch.lambda_u > 0.0:
+            dlogits[n_l:] += batch.lambda_u * d_u
+    terms["prior"], d_prior = nn.prior_kl_term(probs)
+    if batch.lambda_reg > 0.0:
+        dlogits += batch.lambda_reg * d_prior
+    backprop_logits(net, cache, dlogits, bundle)
+
+    views = _nonempty(batch.contrast_views)
+    if views is not None:
+        c_cache = nn.forward_batch(net, views, want_logits=False, want_projection=True)
+        terms["contrastive"], dproj = ntxent_term(c_cache.projection,
+                                                  batch.contrast_temperature)
+        if batch.lambda_cl > 0.0:
+            scratch = nn.GradientBundle.zeros(net)
+            backprop_projection(net, c_cache, dproj, scratch)
+            add_scaled(bundle, scratch, batch.lambda_cl)
+
+    support, outliers = _nonempty(batch.support_inputs), _nonempty(batch.outlier_features)
+    if support is not None or outliers is not None:
+        terms["energy"], e_bundle = energy_bce_loss_and_grads(net, support, outliers,
+                                                              batch.temperature)
+        if batch.lambda_energy > 0.0:
+            add_scaled(bundle, e_bundle, batch.lambda_energy)
+
+    value = (terms["labeled"] + batch.lambda_u * terms["unlabeled"]
+             + batch.lambda_reg * terms["prior"] + batch.lambda_cl * terms["contrastive"]
+             + batch.lambda_energy * terms["energy"])
+    bundle.loss = value
+    return value, terms, bundle

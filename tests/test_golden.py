@@ -38,6 +38,14 @@ GOLDEN = {
     ),
 }
 
+# full-size default-config runs that the acceptance gate makes anyway (criteria
+# 5 and 7, through the session's run cache): pinning them here costs no run
+# when the whole suite runs, and pins the benchmark's own operation
+FULL_SIZE = {
+    ("default", 1): "9fae2bf61b1959db6fc88d65ef8001e342816eced51897237593880cea8b14b9",
+    ("no_vos", 1): "fb01b91f27fef46499d559f2f8407d047f83d183ba1e44ecdb5fcd02efde4203",
+}
+
 # `noisylab ood-eval` of the blobs-seed3 run on the ID and OOD CSVs that
 # `gen-data` writes for the same config; the far set lies wholly on the
 # wrong side of this short run's ID scores, the near set does not
@@ -50,6 +58,12 @@ def test_report_digest(name):
     kwargs, expected = GOLDEN[name]
     report = run_experiment(RunConfig(**kwargs))
     assert hashlib.sha256(report.canonical_json()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("key", sorted(FULL_SIZE), ids=lambda key: f"{key[0]}-seed{key[1]}")
+def test_full_size_report_digest(run_cache, key):
+    report = run_cache.get(*key)
+    assert hashlib.sha256(report.canonical_json()).hexdigest() == FULL_SIZE[key]
 
 
 def test_report_digest_independent_of_blas_threads():

@@ -7,6 +7,7 @@ over 100 seeded random configurations.
 import numpy as np
 import pytest
 
+import loss_oracles
 from noisylab import nn
 from gradcheck import (REL_TOL, finite_difference_grads, logit_term_loss, max_relative_error,
                        run_suite, sample_config)
@@ -49,3 +50,81 @@ def test_total_term_weights_zero_reduce_to_labeled_ce():
         net, total.labeled_inputs, lambda p: nn.soft_ce_term(p, total.labeled_targets))
     assert np.isclose(value, terms["labeled"])
     assert np.isclose(value, ce_value)
+
+
+def _random_step(rng, case):
+    """A random net and a training batch for one `total_loss_and_grads` case.
+
+    Nets have 1-2 extractor layers and 1-2 layer heads; batches are drawn
+    with every part present and every weight positive, then the case
+    removes a part or zeroes a weight.
+    """
+    in_dim, k, proj = (int(rng.integers(2, 6)), int(rng.integers(2, 5)), int(rng.integers(2, 5)))
+    widths = [in_dim] + [int(rng.integers(3, 9)) for _ in range(int(rng.integers(1, 3)))]
+    d = widths[-1]
+    layers = [nn.DenseLayer(rng.normal(size=(b, a)), rng.normal(size=b), "relu")
+              for a, b in zip(widths, widths[1:])]
+    classifier_end = None
+    for out in (k, proj):
+        if rng.random() < 0.5:
+            h = int(rng.integers(2, 6))
+            layers.append(nn.DenseLayer(rng.normal(size=(h, d)), rng.normal(size=h), "relu"))
+            layers.append(nn.DenseLayer(rng.normal(size=(out, h)), rng.normal(size=out),
+                                        "identity"))
+        else:
+            layers.append(nn.DenseLayer(rng.normal(size=(out, d)), rng.normal(size=out),
+                                        "identity"))
+        classifier_end = classifier_end or len(layers)
+    net = nn.DenseNet(layers, len(widths) - 1, classifier_end)
+    n_l, n_u, pairs = (int(rng.integers(2, 20)), int(rng.integers(1, 20)),
+                       int(rng.integers(1, 10)))
+    batch = nn.TotalLossBatch(
+        labeled_inputs=rng.normal(size=(n_l, in_dim)),
+        labeled_targets=rng.dirichlet(np.ones(k), size=n_l),
+        unlabeled_inputs=rng.normal(size=(n_u, in_dim)),
+        unlabeled_targets=rng.dirichlet(np.ones(k), size=n_u),
+        contrast_views=rng.normal(size=(2 * pairs, in_dim)),
+        support_inputs=rng.normal(size=(int(rng.integers(1, 20)), in_dim)),
+        outlier_features=rng.normal(size=(int(rng.integers(1, 20)), d)),
+        lambda_u=float(rng.uniform(0.5, 50.0)), lambda_reg=float(rng.uniform(0.2, 2.0)),
+        lambda_cl=float(rng.uniform(0.2, 2.0)), lambda_energy=float(rng.uniform(0.05, 0.5)),
+        temperature=float(rng.uniform(0.5, 2.0)),
+        contrast_temperature=float(rng.uniform(0.1, 1.0)))
+    if case in ("lambda_u", "lambda_cl", "lambda_energy"):
+        setattr(batch, case, 0.0)
+    elif case == "no-unlabeled":
+        batch.unlabeled_inputs = batch.unlabeled_targets = None
+    elif case == "support-only":
+        batch.outlier_features = None
+    elif case == "outliers-only":
+        batch.support_inputs = None
+    elif case == "zero-norm-projection":
+        # nonpositive extractor biases map a zero input to zero features,
+        # which a bias-free projector maps to a zero-norm embedding
+        for layer in net.layers[:net.extractor_end]:
+            layer.bias = -np.abs(layer.bias)
+        for layer in net.layers[net.classifier_end:]:
+            layer.bias = np.zeros_like(layer.bias)
+        batch.contrast_views[0] = 0.0
+    return net, batch
+
+
+STEP_CASES = ["all-weights", "lambda_u", "lambda_cl", "lambda_energy", "no-unlabeled",
+              "support-only", "outliers-only", "zero-norm-projection"]
+
+
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_step_gradients_match_scratch_bundle_oracle(case):
+    # one bundle per step, each term scaled as it is added, must hold exactly
+    # what per-term scratch bundles plus add_scaled gave
+    for seed in range(25):
+        net, batch = _random_step(np.random.default_rng((seed, STEP_CASES.index(case))), case)
+        if case == "zero-norm-projection":
+            assert nn.forward_batch(net, batch.contrast_views, want_logits=False,
+                                    want_projection=True).degenerate_rows[0]
+        value, terms, bundle = nn.total_loss_and_grads(net, batch)
+        o_value, o_terms, o_bundle = loss_oracles.total_loss_and_grads(net, batch)
+        assert value == o_value and terms == o_terms and bundle.loss == o_bundle.loss
+        for got, want in zip(bundle.d_weights + bundle.d_bias,
+                             o_bundle.d_weights + o_bundle.d_bias):
+            assert np.array_equal(got, want), f"seed {seed}"

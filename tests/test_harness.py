@@ -52,16 +52,20 @@ class TestConfig:
         for key, value in [("noise_rate", 1.5), ("tau_clean", 0.0), ("gce_q", 2.0),
                            ("sampler", "sobol"), ("total_epochs", 3), ("lr", -0.1),
                            ("batch_size", 1), ("window", 0), ("lambda_u", -1.0),
-                           ("sharpen_temperature", 0.0), ("seed", -1)]:
+                           ("sharpen_temperature", 0.0), ("seed", -1),
+                           ("separation", float("inf")), ("ood_far_gap", float("inf")),
+                           ("lr", float("nan")), ("n_train", float("inf")),
+                           ("n_train", float("nan")), ("weak_jitter", 10 ** 400)]:
             base = {"warmup_epochs": 5} if key == "total_epochs" else {}
             with pytest.raises(ConfigError):
                 RunConfig.from_dict({key: value, **base})
 
     def test_type_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            RunConfig.from_dict({"batch_size": 64.5})
-        with pytest.raises(ConfigError):
-            RunConfig.from_dict({"disable_vos": "yes"})
+        for key, value in [("batch_size", 64.5), ("disable_vos", "yes"), ("lr", True),
+                           ("lambda_u", "5"), ("seed", True), ("hidden_dims", [1.7, True]),
+                           ("hidden_dims", [64, True]), ("hidden_dims", "64")]:
+            with pytest.raises(ConfigError):
+                RunConfig.from_dict({key: value})
 
     def test_from_json_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -305,6 +309,19 @@ class TestCli:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"nope": 1}))
         assert cli_main(["train", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("body", ['{"separation": Infinity}', '{"ood_far_gap": Infinity}',
+                                      '{"n_train": Infinity}', '{"lr": true}',
+                                      '{"hidden_dims": [1.7, true]}'],
+                             ids=["inf-separation", "inf-ood-far-gap", "inf-n-train",
+                                  "boolean-lr", "mistyped-hidden-dims"])
+    def test_bad_number_in_config_exit_code(self, tmp_path, capsys, body):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(body)
+        capsys.readouterr()
+        assert cli_main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("body", [
         "id,f0,f1,f2\n0,1.0,2.0,3.0\n",

@@ -51,6 +51,21 @@ class TestForward:
         assert np.allclose(cache.features[0], h, atol=1e-12)
         assert np.allclose(cache.logits[0], logits, atol=1e-12)
 
+    def test_cacheless_logits_equal_forward_batch_logits(self):
+        rng = np.random.default_rng(8)
+        nets = [identity_net()]
+        for _ in range(40):
+            hidden = tuple(int(h) for h in rng.integers(1, 70, size=int(rng.integers(1, 4))))
+            nets.append(nn.build_network(int(rng.integers(2, 10)), int(rng.integers(2, 6)),
+                                         hidden=hidden, rng=rng))
+        for net in nets:
+            x = rng.normal(size=(int(rng.integers(1, 300)), net.input_dim))
+            before = x.copy()
+            assert np.array_equal(nn.predict_logits(net, x), nn.forward_batch(net, x).logits)
+            assert np.array_equal(x, before)
+        with pytest.raises(ShapeError):
+            nn.predict_logits(identity_net(), np.zeros(3))
+
     def test_dimension_mismatch_raises(self):
         net = identity_net()
         with pytest.raises(ShapeError):

@@ -3,15 +3,42 @@ the semi-supervised and contrastive terms against value-only oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from noisylab import nn, semisup
 from noisylab.errors import ParameterError, ShapeError
 from loss_oracles import contrastive_loss, soft_ce_values, ssl_loss
 
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
 
 def entropy(p):
     p = np.where(p > 0, p, 1.0)
     return float(-(p * np.log(p)).sum())
+
+
+@st.composite
+def prob_rows(draw, n=None, k=None):
+    """(n, k) rows of nonnegative floats that sum to 1, zeros and tiny entries included."""
+    n = draw(st.integers(1, 8)) if n is None else n
+    k = draw(st.integers(2, 8)) if k is None else k
+    raw = draw(hnp.arrays(np.float64, (n, k), elements=st.floats(0.0, 1.0)))
+    raw[:, draw(st.integers(0, k - 1))] += draw(st.floats(1e-3, 1.0))  # no all-zero row
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def prediction_lists(draw):
+    """1-8 prediction arrays of one (n, k) shape, as the nets and views give them."""
+    n, k = draw(st.integers(1, 32)), draw(st.integers(2, 8))
+    return draw(st.lists(prob_rows(n, k), min_size=1, max_size=8))
+
+
+def stacked_mean(predictions):
+    """The averaging `semisup` used before it added the arrays in place."""
+    return np.mean(predictions, axis=0)
 
 
 class TestSharpen:
@@ -26,17 +53,26 @@ class TestSharpen:
         assert np.allclose(out, oracle)
         assert np.allclose(out, [0.9412, 0.0588], atol=1e-4)
 
-    def test_temperature_one_is_identity(self):
-        rng = np.random.default_rng(0)
-        p = rng.dirichlet(np.ones(4), size=6)
-        assert np.allclose(semisup.sharpen(p, 1.0), p)
+    @PROPERTY
+    @given(prob_rows())
+    def test_temperature_one_is_identity(self, p):
+        # exact up to the renormalization of rows that sum to 1 within rounding
+        assert np.allclose(semisup.sharpen(p, 1.0), p, rtol=1e-12, atol=0.0)
 
-    def test_entropy_never_increases_below_one(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            p = rng.dirichlet(np.ones(rng.integers(2, 8)))
-            for t in (0.25, 0.5, 0.9, 1.0):
-                assert entropy(semisup.sharpen(p[None], t)[0]) <= entropy(p) + 1e-12
+    @PROPERTY
+    @given(prob_rows(), st.floats(0.1, 4.0))
+    def test_rows_sum_to_one_and_argmax_kept(self, p, t):
+        out = semisup.sharpen(p, t)
+        assert np.all(out >= 0.0)
+        assert np.allclose(out.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        rows = np.arange(len(p))
+        assert np.all(out[rows, p.argmax(axis=1)] == out.max(axis=1))
+
+    @PROPERTY
+    @given(prob_rows(n=1), st.floats(0.1, 1.0))
+    def test_entropy_never_increases_below_one(self, p, t):
+        for temperature in (t, 0.25, 0.5, 0.9, 1.0):
+            assert entropy(semisup.sharpen(p, temperature)[0]) <= entropy(p[0]) + 1e-12
 
     def test_invalid_temperature(self):
         with pytest.raises(ParameterError):
@@ -62,6 +98,17 @@ class TestRefineLabels:
                                     temperature=0.5)
         assert np.allclose(out, [[0.0, 1.0]])
 
+    @PROPERTY
+    @given(prediction_lists(), st.data(), st.floats(0.1, 2.0))
+    def test_equals_mean_formula_bit_for_bit(self, preds, data, t):
+        n, k = preds[0].shape
+        labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        w = data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 1.0)))
+        w_col = w[:, None]
+        blended = w_col * semisup.onehot(labels, k) + (1.0 - w_col) * stacked_mean(preds)
+        assert np.array_equal(semisup.refine_labels(labels, w, preds, k, t),
+                              semisup.sharpen(blended, t))
+
     def test_targets_stay_probability_vectors(self):
         rng = np.random.default_rng(5)
         preds = [rng.dirichlet(np.ones(4), size=16) for _ in range(4)]
@@ -74,6 +121,12 @@ class TestGuessLabels:
     def test_uniform_prediction_stays_uniform(self):
         preds = [np.full((3, 4), 0.25)] * 4
         assert np.allclose(semisup.guess_labels(preds, 0.5), 0.25)
+
+    @PROPERTY
+    @given(prediction_lists(), st.floats(0.1, 2.0))
+    def test_equals_mean_formula_bit_for_bit(self, preds, t):
+        assert np.array_equal(semisup.guess_labels(preds, t),
+                              semisup.sharpen(stacked_mean(preds), t))
 
     def test_identity_temperature_returns_average(self):
         preds = [np.array([[0.9, 0.1]]), np.array([[0.5, 0.5]])]
@@ -97,18 +150,37 @@ class TestMixup:
         assert lam == 0.7
         assert np.allclose(mx, 0.7)
 
-    def test_lambda_always_at_least_half(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            _, _, lam = semisup.mixup(np.zeros((1, 1)), np.ones((1, 1)),
-                                      np.ones((1, 1)), np.zeros((1, 1)), 4.0, rng)
-            assert 0.5 <= lam <= 1.0
+    @PROPERTY
+    @given(st.floats(0.05, 20.0), st.integers(0, 2 ** 32 - 1))
+    def test_lambda_always_at_least_half(self, alpha, seed):
+        _, _, lam = semisup.mixup(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)),
+                                  np.zeros((1, 1)), alpha, np.random.default_rng(seed))
+        assert 0.5 <= lam <= 1.0
 
-    def test_target_mixing_preserves_probability_vectors(self):
-        rng = np.random.default_rng(4)
-        ta = rng.dirichlet(np.ones(5), size=8)
-        tb = rng.dirichlet(np.ones(5), size=8)
-        _, mt = semisup.apply_mixup(np.zeros((8, 2)), ta, np.zeros((8, 2)), tb, 0.63)
+    @PROPERTY
+    @given(st.data(), st.floats(0.05, 20.0), st.integers(0, 2 ** 32 - 1))
+    def test_outputs_are_convex_combinations(self, data, alpha, seed):
+        n, d = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 5))
+        finite = st.floats(-1e6, 1e6)
+        xa = data.draw(hnp.arrays(np.float64, (n, d), elements=finite))
+        xb = data.draw(hnp.arrays(np.float64, (n, d), elements=finite))
+        ta = data.draw(prob_rows(n=n))
+        tb = data.draw(prob_rows(n=n, k=ta.shape[1]))
+        mx, mt, lam = semisup.mixup(xa, ta, xb, tb, alpha, np.random.default_rng(seed))
+        assert 0.5 <= lam <= 1.0
+        assert np.array_equal(mx, lam * xa + (1.0 - lam) * xb)
+        assert np.array_equal(mt, lam * ta + (1.0 - lam) * tb)
+        for mixed, a, b in ((mx, xa, xb), (mt, ta, tb)):
+            slack = 4 * np.spacing(np.maximum(np.abs(a), np.abs(b)))
+            assert np.all(mixed >= np.minimum(a, b) - slack)
+            assert np.all(mixed <= np.maximum(a, b) + slack)
+
+    @PROPERTY
+    @given(st.data(), st.floats(0.5, 1.0))
+    def test_target_mixing_preserves_probability_vectors(self, data, lam):
+        ta = data.draw(prob_rows())
+        tb = data.draw(prob_rows(n=len(ta), k=ta.shape[1]))
+        _, mt = semisup.apply_mixup(np.zeros((len(ta), 2)), ta, np.zeros((len(ta), 2)), tb, lam)
         assert np.all(mt >= 0)
         assert np.allclose(mt.sum(axis=1), 1.0, atol=1e-9)
 
