@@ -24,8 +24,10 @@ def _is_number(value) -> bool:
 
 
 def _integer(name: str, value) -> int:
-    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    """A JSON integer that fits in int64, the width numpy sizes and seeds take."""
+    if (not _is_number(value) or (isinstance(value, float) and not value.is_integer())
+            or not -2 ** 63 <= value < 2 ** 63):
+        raise ConfigError(f"{name} must be a 64-bit integer, got {value!r}")
     return int(value)
 
 
@@ -111,7 +113,7 @@ class RunConfig:
             (self.noise_mode in NOISE_MODES, f"noise_mode must be one of {NOISE_MODES}"),
             (self.sampler in SAMPLERS, f"sampler must be one of {SAMPLERS}"),
             (self.n_train >= self.n_classes, "n_train must cover every class"),
-            (self.n_test >= 1, "n_test must be positive"),
+            (self.n_test >= self.n_classes, "n_test must cover every class"),
             (self.n_classes >= 2, "need at least two classes"),
             (self.input_dim >= 2, "input_dim must be >= 2"),
             (self.separation > 0, "separation must be positive"),

@@ -11,7 +11,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,21 +140,11 @@ def generate(spec: SyntheticSpec) -> LabeledDataset:
 def generate_test_split(train_spec: SyntheticSpec, n_samples: int, seed: int) -> LabeledDataset:
     """Fresh samples from the same class geometry as the training spec.
 
-    Gaussian blobs reuse the training centers (the task is defined by
-    them); the parametric generators just draw with the new seed.
+    Every generator's geometry depends only on the spec's shape fields
+    (gaussian blobs: their centers), so this is `generate` with the new
+    size and seed.
     """
-    if train_spec.generator != "gaussian-blobs":
-        return generate(SyntheticSpec(train_spec.generator, n_samples, train_spec.n_classes,
-                                      train_spec.input_dim, train_spec.separation, seed))
-    centers = _blob_centers(train_spec.n_classes, train_spec.input_dim,
-                            train_spec.separation)
-    rng = np.random.default_rng(seed)
-    counts = _balanced_counts(n_samples, train_spec.n_classes)
-    labels = np.repeat(np.arange(train_spec.n_classes), counts)
-    feats = centers[labels] + rng.normal(size=(n_samples, train_spec.input_dim))
-    order = rng.permutation(n_samples)
-    return LabeledDataset(np.arange(n_samples), feats[order], labels[order],
-                          labels[order].copy())
+    return generate(replace(train_spec, n_samples=n_samples, seed=seed))
 
 
 def inject_noise(dataset: LabeledDataset, noise: NoiseSpec) -> LabeledDataset:

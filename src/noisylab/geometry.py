@@ -26,7 +26,6 @@ PERTURBATION_SCALE = 0.1
 class Envelope:
     low: np.ndarray  # (d,)
     high: np.ndarray  # (d,)
-    epoch: int | None = None
 
     def __post_init__(self):
         if (self.low > self.high).any():
@@ -49,7 +48,6 @@ class Envelope:
 class CentroidSet:
     class_ids: np.ndarray  # (c,)
     centers: np.ndarray  # (c, d)
-    epoch: int | None = None
 
     def center_for(self, class_id: int) -> np.ndarray:
         idx = np.nonzero(self.class_ids == class_id)[0]
@@ -64,23 +62,21 @@ class OutlierBatch:
     n_candidates: int
     n_accepted: int
     sampler: str
-    reject_radius: float
 
     @property
     def acceptance_rate(self) -> float:
         return self.n_accepted / self.n_candidates if self.n_candidates else 0.0
 
 
-def estimate_envelope(features: np.ndarray, epoch: int | None = None) -> Envelope:
+def estimate_envelope(features: np.ndarray) -> Envelope:
     """Component-wise min/max box over the support features."""
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if features.size == 0:
         raise EmptySupportError("no support features; skip geometry this epoch")
-    return Envelope(features.min(axis=0), features.max(axis=0), epoch)
+    return Envelope(features.min(axis=0), features.max(axis=0))
 
 
-def class_centroids(features: np.ndarray, labels: np.ndarray,
-                    epoch: int | None = None) -> CentroidSet:
+def class_centroids(features: np.ndarray, labels: np.ndarray) -> CentroidSet:
     """Arithmetic mean feature vector per class present in the support."""
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = np.asarray(labels)
@@ -88,7 +84,7 @@ def class_centroids(features: np.ndarray, labels: np.ndarray,
         raise EmptySupportError("no support features; skip geometry this epoch")
     class_ids = np.unique(labels)
     centers = np.stack([features[labels == c].mean(axis=0) for c in class_ids])
-    return CentroidSet(class_ids, centers, epoch)
+    return CentroidSet(class_ids, centers)
 
 
 def _sample_uniform(envelope: Envelope, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -164,7 +160,7 @@ def filter_outliers(candidates: np.ndarray, centroids: CentroidSet, reject_radiu
     keep = d_min > reject_radius
     accepted = candidates[keep]
     return OutlierBatch(accepted, n_candidates=len(candidates), n_accepted=len(accepted),
-                        sampler=sampler, reject_radius=reject_radius)
+                        sampler=sampler)
 
 
 def mean_centroid_distance(centroids: CentroidSet) -> float | None:

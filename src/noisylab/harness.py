@@ -22,7 +22,7 @@ import numpy as np
 from . import data as data_mod
 from . import geometry, metrics, nn, partition, semisup
 from .config import RunConfig
-from .errors import ConfigError, ParameterError, TrainingError
+from .errors import ConfigError, NoisylabError, ParameterError, TrainingError
 
 SCHEMA_VERSION = 1
 
@@ -54,25 +54,37 @@ def make_stream(master: int, name: str) -> np.random.Generator:
 
 
 def build_datasets(config: RunConfig):
-    """Train (noisy), test (clean), and the two OOD input sets."""
+    """Train (noisy), test (clean), and the two OOD input sets.
+
+    ConfigError if the config's sizes or scales overflow float64 or exceed
+    what numpy can allocate.
+    """
     seed = config.seed
     train_spec = data_mod.SyntheticSpec(
         generator=config.generator, n_samples=config.n_train, n_classes=config.n_classes,
         input_dim=config.input_dim, separation=config.separation,
         seed=child_seed(seed, _STREAM_TAGS["data"]))
-    clean_train = data_mod.generate(train_spec)
-    test_set = data_mod.generate_test_split(train_spec, config.n_test,
-                                            child_seed(seed, _STREAM_TAGS["test_data"]))
-    noisy_train = data_mod.inject_noise(
-        clean_train, data_mod.NoiseSpec(mode=config.noise_mode, rate=config.noise_rate,
-                                        seed=child_seed(seed, _STREAM_TAGS["noise"])))
-    ood_far = data_mod.generate_ood(
-        data_mod.OodSpec("far", config.ood_n, child_seed(seed, _STREAM_TAGS["ood_far"]),
-                         far_gap=config.ood_far_gap), clean_train)
-    ood_near = data_mod.generate_ood(
-        data_mod.OodSpec("near", config.ood_n, child_seed(seed, _STREAM_TAGS["ood_near"]),
-                         near_radius_factor=config.ood_near_radius_factor,
-                         near_spread=config.ood_near_spread), clean_train)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            clean_train = data_mod.generate(train_spec)
+            test_set = data_mod.generate_test_split(
+                train_spec, config.n_test, child_seed(seed, _STREAM_TAGS["test_data"]))
+            noisy_train = data_mod.inject_noise(
+                clean_train, data_mod.NoiseSpec(mode=config.noise_mode, rate=config.noise_rate,
+                                                seed=child_seed(seed, _STREAM_TAGS["noise"])))
+            ood_far = data_mod.generate_ood(
+                data_mod.OodSpec("far", config.ood_n, child_seed(seed, _STREAM_TAGS["ood_far"]),
+                                 far_gap=config.ood_far_gap), clean_train)
+            ood_near = data_mod.generate_ood(
+                data_mod.OodSpec("near", config.ood_n, child_seed(seed, _STREAM_TAGS["ood_near"]),
+                                 near_radius_factor=config.ood_near_radius_factor,
+                                 near_spread=config.ood_near_spread), clean_train)
+    except NoisylabError:
+        raise
+    except (ArithmeticError, ValueError, MemoryError) as exc:
+        # overflow to inf (FloatingPointError, OverflowError), numpy's array
+        # dimension limit (ValueError) or an allocation that cannot succeed
+        raise ConfigError(f"the config's sizes or scales exceed numpy's limits: {exc}") from exc
     return noisy_train, test_set, ood_far, ood_near
 
 
@@ -220,6 +232,20 @@ def _mean_or_none(values: list) -> float | None:
     return float(np.mean(values)) if values else None
 
 
+def _geometry_entry(epoch: int, geo: dict) -> dict:
+    """One net's line of the geometry dump for one epoch."""
+    return {
+        "epoch": epoch,
+        "b_min": [float(v) for v in geo["envelope"].low],
+        "b_max": [float(v) for v in geo["envelope"].high],
+        "centroids": {str(int(c)): [float(v) for v in center]
+                      for c, center in zip(geo["centroids"].class_ids, geo["centroids"].centers)},
+        "n_candidates": geo["outliers"].n_candidates,
+        "n_accepted": geo["outliers"].n_accepted,
+        "sampler": geo["outliers"].sampler,
+    }
+
+
 @dataclass
 class RunReport:
     config: dict
@@ -265,8 +291,9 @@ class Experiment:
                                      "mixup", "contrast", "geometry", "energy_draw")}
         self.report = RunReport(config=config.to_dict())
         self.out_dir: Path | None = None
+        # per-net, per-epoch dump data, kept only while that dump is on
         self._geometry_log: list[list[dict]] = [[] for _ in range(self.n_nets)]
-        self._selection_rows: list[list] = [[] for _ in range(self.n_nets)]
+        self._selection_log: list[list[tuple]] = [[] for _ in range(self.n_nets)]
 
     # -- shared helpers ----------------------------------------------------
 
@@ -336,24 +363,26 @@ class Experiment:
             train_labeled = labeled_ids if fallback else support
             train_unlabeled = np.arange(cfg.n_train)[~self._id_mask(train_labeled)]
 
-            geo = self._epoch_geometry(net, support, epoch) if not cfg.disable_vos else None
+            geo = self._epoch_geometry(net, support) if not cfg.disable_vos else None
             stats = self._train_net(k, net, train_labeled, train_unlabeled, w,
                                     support, geo, main_idx, epoch)
             batch_terms = stats.pop("first_batch_terms")
             if k == 0:
                 first_batch_terms = batch_terms
-            sel = metrics.selection_metrics(self._id_mask(support), self.dataset.clean_mask)
+            in_support = self._id_mask(support)
+            sel = metrics.selection_metrics(in_support, self.dataset.clean_mask)
             per_net.append({
                 "n_labeled": len(labeled_ids), "n_support": len(support),
                 "fallback": fallback, "selection": sel, "geometry": geo, "stats": stats,
                 "support": support,
             })
             if cfg.dump_selection:
-                in_support = self._id_mask(support)
-                for i in range(cfg.n_train):
-                    self._selection_rows[k].append(
-                        [epoch, i, norm_losses[peer][i], w[i], int(in_support[i])])
+                self._selection_log[k].append((epoch, norm_losses[peer], w, in_support))
 
+        if cfg.dump_geometry:
+            for k, p in enumerate(per_net):
+                if p["geometry"] is not None:
+                    self._geometry_log[k].append(_geometry_entry(epoch, p["geometry"]))
         record = self._epoch_record(epoch, per_net, first_batch_terms)
         self.report.epochs.append(record)
         if cfg.export_features and self.out_dir is not None:
@@ -366,7 +395,7 @@ class Experiment:
         mask[ids] = True
         return mask
 
-    def _epoch_geometry(self, net, support_ids, epoch):
+    def _epoch_geometry(self, net, support_ids):
         """Envelope, centroids, candidate synthesis, and filtering for one net."""
         cfg = self.config
         if support_ids.size == 0:
@@ -374,8 +403,8 @@ class Experiment:
         feats = nn.forward_batch(net, self.view.features[support_ids],
                                  want_logits=False).features
         labels = self.view.noisy_labels[support_ids]
-        envelope = geometry.estimate_envelope(feats, epoch)
-        centroids = geometry.class_centroids(feats, labels, epoch)
+        envelope = geometry.estimate_envelope(feats)
+        centroids = geometry.class_centroids(feats, labels)
         if cfg.tau_auto:
             mean_dist = geometry.mean_centroid_distance(centroids)
             tau = (cfg.tau_auto_scale * 0.5 * mean_dist) if mean_dist is not None else cfg.tau_rej
@@ -523,20 +552,6 @@ class Experiment:
             test_accuracy=self._test_accuracy(),
             first_batch_terms=first_batch_terms,
         )
-        for k, p in enumerate(per_net):
-            if p["geometry"] is not None:
-                g = p["geometry"]
-                self._geometry_log[k].append({
-                    "epoch": epoch,
-                    "b_min": [float(v) for v in g["envelope"].low],
-                    "b_max": [float(v) for v in g["envelope"].high],
-                    "centroids": {str(int(c)): [float(v) for v in center]
-                                  for c, center in zip(g["centroids"].class_ids,
-                                                       g["centroids"].centers)},
-                    "n_candidates": g["outliers"].n_candidates,
-                    "n_accepted": g["outliers"].n_accepted,
-                    "sampler": g["outliers"].sampler,
-                })
         return record
 
     def _epoch_energies(self, per_net):
@@ -545,10 +560,8 @@ class Experiment:
         for net, p in zip(self.nets, per_net):
             support = p["support"]
             if support.size:
-                feats = nn.forward_batch(net, self.view.features[support],
-                                         want_logits=False).features
-                clean_vals.append(nn.energies(nn.head_forward(net, feats),
-                                              cfg.energy_temperature).mean())
+                logits = nn.predict_logits(net, self.view.features[support])
+                clean_vals.append(nn.energies(logits, cfg.energy_temperature).mean())
             g = p["geometry"]
             if g is not None and g["outliers"].n_accepted:
                 out_vals.append(nn.energies(nn.head_forward(net, g["outliers"].features),
@@ -629,13 +642,14 @@ class Experiment:
         for k, net in enumerate(self.nets):
             save_model(net, models / f"net{k}.npz")
         if self.config.dump_selection:
-            for k, rows in enumerate(self._selection_rows):
+            for k, epochs in enumerate(self._selection_log):
                 with open(out / f"selection_net{k}.csv", "w", newline="") as fh:
                     writer = csv.writer(fh)
                     writer.writerow(["epoch", "sample_id", "loss", "w_i", "in_support"])
-                    for row in rows:
-                        writer.writerow([row[0], row[1], format(row[2], ".17g"),
-                                         format(row[3], ".17g"), row[4]])
+                    for epoch, losses, w, in_support in epochs:
+                        for i in range(len(losses)):
+                            writer.writerow([epoch, i, format(losses[i], ".17g"),
+                                             format(w[i], ".17g"), int(in_support[i])])
         if self.config.dump_geometry:
             for k, entries in enumerate(self._geometry_log):
                 with open(out / f"geometry_net{k}.jsonl", "w") as fh:

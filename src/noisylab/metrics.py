@@ -16,14 +16,12 @@ from .errors import ParameterError, ShapeError
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of argmax matches; ties break to the lowest class index.
+    """Fraction of rows of an (n, K) score matrix whose argmax is the label.
 
-    `predictions` is either a (n, K) score matrix or an already-argmaxed
-    integer vector.
+    Ties break to the lowest class index.
     """
-    predictions = np.asarray(predictions)
+    pred_labels = np.asarray(predictions).argmax(axis=1)
     labels = np.asarray(labels)
-    pred_labels = predictions.argmax(axis=1) if predictions.ndim == 2 else predictions
     if len(pred_labels) != len(labels):
         raise ShapeError("predictions and labels differ in length")
     if len(labels) == 0:
@@ -36,8 +34,6 @@ class SelectionMetrics:
     precision: float | None  # None when nothing was selected
     recall: float
     f1: float
-    n_selected: int
-    n_clean: int
 
 
 def selection_metrics(selected: np.ndarray, clean: np.ndarray) -> SelectionMetrics:
@@ -59,7 +55,7 @@ def selection_metrics(selected: np.ndarray, clean: np.ndarray) -> SelectionMetri
         f1 = 0.0
     else:
         f1 = 2.0 * precision * recall / (precision + recall)
-    return SelectionMetrics(precision, recall, f1, n_sel, n_clean)
+    return SelectionMetrics(precision, recall, f1)
 
 
 def _score_pair(id_scores, ood_scores):

@@ -259,21 +259,18 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GradientBundle:
-    """Per-parameter gradients mirroring a DenseNet, plus the loss value."""
+    """Per-parameter gradients mirroring a DenseNet."""
 
-    loss: float
     d_weights: list[np.ndarray]
     d_bias: list[np.ndarray]
 
     @classmethod
-    def zeros(cls, net: DenseNet, loss: float = 0.0) -> "GradientBundle":
-        return cls(loss,
-                   [np.zeros_like(l.weights) for l in net.layers],
+    def zeros(cls, net: DenseNet) -> "GradientBundle":
+        return cls([np.zeros_like(l.weights) for l in net.layers],
                    [np.zeros_like(l.bias) for l in net.layers])
 
     def is_finite(self) -> bool:
-        return (np.isfinite(self.loss)
-                and all(np.isfinite(a).all() for a in self.d_weights)
+        return (all(np.isfinite(a).all() for a in self.d_weights)
                 and all(np.isfinite(a).all() for a in self.d_bias))
 
 
@@ -432,7 +429,7 @@ def gce_loss_and_grads(net: DenseNet, x: np.ndarray, y: np.ndarray, q: float = 0
     """Mean GCE loss over the batch and its gradients."""
     cache = forward_batch(net, x)
     value, dlogits = gce_term(softmax(cache.logits), y, q)
-    bundle = GradientBundle.zeros(net, value)
+    bundle = GradientBundle.zeros(net)
     backprop_logits(net, cache, dlogits, bundle)
     return value, bundle
 
@@ -448,45 +445,40 @@ def energy_bce_loss_and_grads(net: DenseNet, *, clean_inputs: np.ndarray | None 
     extractor) or as fixed feature vectors (classifier head only).
     Outliers are always feature-space points.
 
-    Adds scale times the value and the parameter gradients into bundle (a
-    fresh one when None) and returns (value, bundle). The classifier
-    head's gradient is summed over clean and outlier rows before it is
-    scaled.
+    Adds scale times the parameter gradients into bundle (a fresh one when
+    None) and returns (value, bundle). Every part takes the same head
+    forward and backward pass; clean inputs first run the extractor, and
+    their feature gradient goes on through it. The classifier head's
+    gradient is summed over clean and outlier rows before it is scaled.
     """
     if clean_inputs is not None and clean_features is not None:
         raise ParameterError("pass clean samples as inputs or features, not both")
     if bundle is None:
         bundle = GradientBundle.zeros(net)
-    value = 0.0
-    head = {}  # classifier-head gradients, summed over the clean and outlier parts
+    parts = []  # (head input, sign, cache holding the extractor pass or None)
+    if clean_inputs is not None:
+        cache = forward_batch(net, clean_inputs, want_logits=False)
+        parts.append((cache.features, +1.0, cache))
+    elif clean_features is not None and len(clean_features):
+        parts.append((clean_features, +1.0, None))
+    if outlier_features is not None and len(outlier_features):
+        parts.append((outlier_features, -1.0, None))
 
-    def _add_head(cache, dlogits):
-        grads, dfeat = _backward_segment(net, cache, dlogits, net.extractor_end,
+    value = 0.0
+    head = {}  # classifier-head gradients, summed over the parts
+    for features, sign, cache in parts:
+        head_cache = cache if cache is not None else _empty_cache(net)
+        term, dlogits = energy_bce_term(head_forward(net, features, head_cache), sign,
+                                        temperature)
+        value += term
+        grads, dfeat = _backward_segment(net, head_cache, dlogits, net.extractor_end,
                                          net.classifier_end)
         for i, (dw, db) in grads.items():
             head[i] = (head[i][0] + dw, head[i][1] + db) if i in head else (dw, db)
-        return dfeat
-
-    def _head_only(features, sign):
-        cache = _empty_cache(net)
-        term, dlogits = energy_bce_term(head_forward(net, features, cache), sign, temperature)
-        _add_head(cache, dlogits)
-        return term
-
-    if clean_inputs is not None:
-        cache = forward_batch(net, clean_inputs)
-        term, dlogits = energy_bce_term(cache.logits, +1.0, temperature)
-        value += term
-        dfeat = _add_head(cache, dlogits)
-        _add_grads(bundle, _backward_segment(net, cache, dfeat, 0, net.extractor_end)[0], scale)
-    elif clean_features is not None and len(clean_features):
-        value += _head_only(clean_features, +1.0)
-
-    if outlier_features is not None and len(outlier_features):
-        value += _head_only(outlier_features, -1.0)
-
+        if cache is not None:
+            _add_grads(bundle, _backward_segment(net, cache, dfeat, 0, net.extractor_end)[0],
+                       scale)
     _add_grads(bundle, head, scale)
-    bundle.loss += scale * value
     return value, bundle
 
 
@@ -560,7 +552,6 @@ def total_loss_and_grads(net: DenseNet, batch: TotalLossBatch):
     value = (terms["labeled"] + batch.lambda_u * terms["unlabeled"]
              + batch.lambda_reg * terms["prior"] + batch.lambda_cl * terms["contrastive"]
              + batch.lambda_energy * terms["energy"])
-    bundle.loss = value
     return value, terms, bundle
 
 

@@ -97,7 +97,7 @@ def logit_term_loss(net, x, term):
     """(value, bundle) of a probability-space term on the logits of x."""
     cache = nn.forward_batch(net, x)
     value, dlogits = term(nn.softmax(cache.logits))
-    bundle = nn.GradientBundle.zeros(net, value)
+    bundle = nn.GradientBundle.zeros(net)
     nn.backprop_logits(net, cache, dlogits, bundle)
     return value, bundle
 
@@ -106,7 +106,7 @@ def projection_term_loss(net, views, term):
     """(value, bundle) of a term on the unit projections of views."""
     cache = nn.forward_batch(net, views, want_logits=False, want_projection=True)
     value, dproj = term(cache.projection)
-    bundle = nn.GradientBundle.zeros(net, value)
+    bundle = nn.GradientBundle.zeros(net)
     nn.backprop_projection(net, cache, dproj, bundle)
     return value, bundle
 

@@ -99,7 +99,6 @@ def ntxent_term(z, temperature):
 
 
 def add_scaled(bundle, other, scale):
-    bundle.loss += scale * other.loss
     for dw, ow in zip(bundle.d_weights, other.d_weights):
         dw += scale * ow
     for db, ob in zip(bundle.d_bias, other.d_bias):
@@ -134,6 +133,15 @@ def backprop_projection(net, cache, dproj, bundle):
     _backward_segment(net, cache, dfeat, 0, net.extractor_end, bundle)
 
 
+def _head_only_energy(net, features, sign, temperature, bundle):
+    """Energy BCE on feature-space points, its head gradients added into bundle."""
+    cache = nn.ForwardCache([None] * len(net.layers), [None] * len(net.layers), np.empty(0))
+    term, dlogits = nn.energy_bce_term(nn.head_forward(net, features, cache), sign,
+                                       temperature)
+    backprop_logits(net, cache, dlogits, bundle, into_extractor=False)
+    return term
+
+
 def energy_bce_loss_and_grads(net, clean_inputs, outlier_features, temperature):
     bundle = nn.GradientBundle.zeros(net)
     value = 0.0
@@ -143,13 +151,15 @@ def energy_bce_loss_and_grads(net, clean_inputs, outlier_features, temperature):
         value += term
         backprop_logits(net, cache, dlogits, bundle)
     if outlier_features is not None:
-        cache = nn.ForwardCache([None] * len(net.layers), [None] * len(net.layers),
-                                np.empty(0))
-        term, dlogits = nn.energy_bce_term(nn.head_forward(net, outlier_features, cache),
-                                           -1.0, temperature)
-        value += term
-        backprop_logits(net, cache, dlogits, bundle, into_extractor=False)
-    bundle.loss = value
+        value += _head_only_energy(net, outlier_features, -1.0, temperature, bundle)
+    return value, bundle
+
+
+def energy_bce_head_only(net, clean_features, outlier_features, temperature):
+    """(value, bundle) of the energy term on feature-space clean samples and outliers."""
+    bundle = nn.GradientBundle.zeros(net)
+    value = _head_only_energy(net, clean_features, +1.0, temperature, bundle)
+    value += _head_only_energy(net, outlier_features, -1.0, temperature, bundle)
     return value, bundle
 
 
@@ -199,5 +209,4 @@ def total_loss_and_grads(net, batch):
     value = (terms["labeled"] + batch.lambda_u * terms["unlabeled"]
              + batch.lambda_reg * terms["prior"] + batch.lambda_cl * terms["contrastive"]
              + batch.lambda_energy * terms["energy"])
-    bundle.loss = value
     return value, terms, bundle

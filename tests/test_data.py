@@ -64,6 +64,38 @@ class TestGenerate:
             data.SyntheticSpec(n_samples=2, n_classes=4)
 
 
+def _blob_test_split(train_spec, n_samples, seed):
+    """The gaussian-blobs test split as its own code path once drew it.
+
+    Kept as an oracle: `generate_test_split` is now `generate` with the
+    new size and seed, which must give these arrays bit for bit.
+    """
+    centers = data._blob_centers(train_spec.n_classes, train_spec.input_dim,
+                                 train_spec.separation)
+    rng = np.random.default_rng(seed)
+    counts = data._balanced_counts(n_samples, train_spec.n_classes)
+    labels = np.repeat(np.arange(train_spec.n_classes), counts)
+    feats = centers[labels] + rng.normal(size=(n_samples, train_spec.input_dim))
+    order = rng.permutation(n_samples)
+    return data.LabeledDataset(np.arange(n_samples), feats[order], labels[order],
+                               labels[order].copy())
+
+
+class TestGenerateTestSplit:
+    def test_blobs_match_the_old_blob_branch(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            d = int(rng.integers(2, 10))
+            k = int(rng.integers(2, 2 * d + 1))
+            spec = data.SyntheticSpec("gaussian-blobs", int(rng.integers(k, 300)), k, d,
+                                      float(rng.uniform(0.1, 10.0)), int(rng.integers(2 ** 32)))
+            n_test, seed = int(rng.integers(k, 300)), int(rng.integers(2 ** 32))
+            got = data.generate_test_split(spec, n_test, seed)
+            want = _blob_test_split(spec, n_test, seed)
+            for field in ("ids", "features", "true_labels", "noisy_labels"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), (spec, field)
+
+
 class TestInjectNoise:
     def _ds(self, n=10_000, k=10, seed=0):
         return data.generate(data.SyntheticSpec(n_samples=n, n_classes=k,

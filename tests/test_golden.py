@@ -8,6 +8,7 @@ entry that says why the bits moved.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -52,6 +53,23 @@ FULL_SIZE = {
 GOLDEN_OOD_EVAL = {"ood_far": {"auroc": 0.0, "fpr95": 1.0},
                    "ood_near": {"auroc": 0.5366666666666666, "fpr95": 0.9333333333333333}}
 
+# the dump files of the blobs-seed3 run with every dump switched on
+DUMPS = dict(dump_selection=True, dump_geometry=True, export_features=True)
+GOLDEN_DUMPS = {
+    "selection_net0.csv": "9632a5568c75191de77a5907122ce303a5ae1e5f61d66ee05d98e4f2da3bf1fd",
+    "geometry_net0.jsonl": "07e2c7b99d4e34e98c7888d0e6de51cde5ffea1db9cd1d426f0fba76784b82e7",
+    "features/epoch_0002.csv": "3878e01ccb4eaf7f8a8056833feb05b10162f6fb6f265965293473dc32a0531e",
+    "features/epoch_0003.csv": "87aa931e7a2f2c48e68b60f05a5a0f90838bba221e78cbd6a03a44e2e885031d",
+    "features/epoch_0004.csv": "7d9ada7732cc8eb0f6f9a9761a06d57822219e98d21ec617695a1473c8376e5e",
+    "features/epoch_0005.csv": "44ec3dbc4173a346ab96f890351cf37b1afae6b68cc0052837291b4fbec4c977",
+    "features/epoch_0006.csv": "52212ccda88b5256c5fb9c2710c9ea3a2b1046aaca3c8a82cb52bde0c035b7bf",
+    "features/epoch_0007.csv": "0d3deafb29968f82f6449b3b0b7898ad89f95373da186da24edf2c3f7d1bbf12",
+}
+
+# perfbench targets a training run never calls: CSV readers, ood-eval and the CLI
+UNTRAINED_TARGETS = {"data.read_features_csv", "data.read_dataset_csv", "harness.evaluate_ood",
+                     "harness.load_model", "cli.main"}
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_digest(name):
@@ -64,6 +82,47 @@ def test_report_digest(name):
 def test_full_size_report_digest(run_cache, key):
     report = run_cache.get(*key)
     assert hashlib.sha256(report.canonical_json()).hexdigest() == FULL_SIZE[key]
+
+
+def test_dump_file_digests(tmp_path):
+    kwargs, _ = GOLDEN["blobs-seed3"]
+    run_experiment(RunConfig(**kwargs, **DUMPS), out_dir=tmp_path)
+    features = {str(p.relative_to(tmp_path)) for p in (tmp_path / "features").glob("*.csv")}
+    assert features == {name for name in GOLDEN_DUMPS if name.startswith("features/")}
+    for name, expected in GOLDEN_DUMPS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == expected, name
+
+
+def _load_perfbench_spans():
+    """perfbench/spans.py as a module, imported without writing bytecode beside it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def test_perfbench_tracer_contract():
+    # the benchmark traces the package by name: every target must resolve, a
+    # traced run must keep its digest, and the counters it reads must move
+    spans = _load_perfbench_spans()
+    for module_name, path in spans.TARGETS:
+        owner, attr = spans._resolve(sys.modules[f"noisylab.{module_name}"], path)
+        assert callable(getattr(owner, attr)), f"{module_name}.{path}"
+    kwargs, expected = GOLDEN["blobs-seed3"]
+    tracer = spans.Tracer()
+    with tracer.active():
+        report = run_experiment(RunConfig(**kwargs))
+    assert hashlib.sha256(report.canonical_json()).hexdigest() == expected
+    assert {name for _, _, name, _, _ in tracer.spans} == \
+        set(spans.span_names()) - UNTRAINED_TARGETS
+    for counter in ("em_fits", "forward_rows", "candidates"):
+        assert tracer.counts[counter] > 0, counter
 
 
 def test_report_digest_independent_of_blas_threads():

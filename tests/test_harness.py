@@ -55,7 +55,8 @@ class TestConfig:
                            ("sharpen_temperature", 0.0), ("seed", -1),
                            ("separation", float("inf")), ("ood_far_gap", float("inf")),
                            ("lr", float("nan")), ("n_train", float("inf")),
-                           ("n_train", float("nan")), ("weak_jitter", 10 ** 400)]:
+                           ("n_train", float("nan")), ("weak_jitter", 10 ** 400),
+                           ("n_test", 3), ("n_train", 2 ** 63), ("seed", 1e19)]:
             base = {"warmup_epochs": 5} if key == "total_epochs" else {}
             with pytest.raises(ConfigError):
                 RunConfig.from_dict({key: value, **base})
@@ -312,9 +313,14 @@ class TestCli:
 
     @pytest.mark.parametrize("body", ['{"separation": Infinity}', '{"ood_far_gap": Infinity}',
                                       '{"n_train": Infinity}', '{"lr": true}',
-                                      '{"hidden_dims": [1.7, true]}'],
+                                      '{"hidden_dims": [1.7, true]}',
+                                      '{"separation": 1e308}', '{"ood_far_gap": 1e308}',
+                                      '{"n_train": 1e30}', '{"n_test": 1e30}',
+                                      '{"ood_n": 1e19}', '{"input_dim": 100000000000}'],
                              ids=["inf-separation", "inf-ood-far-gap", "inf-n-train",
-                                  "boolean-lr", "mistyped-hidden-dims"])
+                                  "boolean-lr", "mistyped-hidden-dims", "huge-separation",
+                                  "huge-ood-far-gap", "huge-n-train", "huge-n-test",
+                                  "huge-ood-n", "huge-input-dim"])
     def test_bad_number_in_config_exit_code(self, tmp_path, capsys, body):
         cfg = tmp_path / "bad.json"
         cfg.write_text(body)
