@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands: gen-data, train, ood-eval, ablate, export-features.
+Subcommands: gen-data, train, ood-eval, ablate. The per-epoch dumps (selection,
+geometry, features) are switched on by config keys, not by flags.
 Exit codes: 0 success, 2 config or input error, 3 training error, 4 I/O error.
 """
 
@@ -154,13 +155,6 @@ def _cmd_ablate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_export_features(args) -> int:
-    config = _load_config(args).replace(export_features=True)
-    run_experiment(config, out_dir=args.out_dir)
-    print(f"per-epoch feature CSVs under {Path(args.out_dir) / 'features'}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="noisylab",
                                      description="Noisy-label training laboratory")
@@ -204,13 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keep-runs", action="store_true",
                    help="keep every run's full output directory")
     p.set_defaults(func=_cmd_ablate)
-
-    p = sub.add_parser("export-features", help="train while dumping per-epoch features")
-    common(p)
-    p.add_argument("--disable-vos", action="store_true")
-    p.add_argument("--disable-cl", action="store_true")
-    p.add_argument("--sampler", choices=SAMPLERS)
-    p.set_defaults(func=_cmd_export_features)
 
     return parser
 

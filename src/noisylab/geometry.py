@@ -61,7 +61,6 @@ class OutlierBatch:
     features: np.ndarray  # (m, d) accepted virtual outliers
     n_candidates: int
     n_accepted: int
-    sampler: str
 
     @property
     def acceptance_rate(self) -> float:
@@ -150,8 +149,8 @@ def min_centroid_distances(points: np.ndarray, centroids: CentroidSet) -> np.nda
     return np.sqrt(sq)
 
 
-def filter_outliers(candidates: np.ndarray, centroids: CentroidSet, reject_radius: float,
-                    sampler: str = "uniform") -> OutlierBatch:
+def filter_outliers(candidates: np.ndarray, centroids: CentroidSet,
+                    reject_radius: float) -> OutlierBatch:
     """Keep candidates strictly farther than the rejection radius from every centroid."""
     if len(centroids.centers) == 0:
         raise ParameterError("centroid set must be nonempty")
@@ -159,8 +158,7 @@ def filter_outliers(candidates: np.ndarray, centroids: CentroidSet, reject_radiu
     d_min = min_centroid_distances(candidates, centroids)
     keep = d_min > reject_radius
     accepted = candidates[keep]
-    return OutlierBatch(accepted, n_candidates=len(candidates), n_accepted=len(accepted),
-                        sampler=sampler)
+    return OutlierBatch(accepted, n_candidates=len(candidates), n_accepted=len(accepted))
 
 
 def mean_centroid_distance(centroids: CentroidSet) -> float | None:

@@ -228,11 +228,26 @@ REPORT_SCHEMA = {
 _EPOCH_KEYS = tuple(REPORT_SCHEMA["properties"]["epochs"]["items"]["properties"])
 
 
-def _mean_or_none(values: list) -> float | None:
-    return float(np.mean(values)) if values else None
+#: the keys of a main epoch's record that are a mean over the nets
+_MEAN_KEYS = tuple(k for k in _EPOCH_KEYS if k not in (
+    "epoch", "phase", "test_accuracy", "support_fallback", "first_batch_terms"))
 
 
-def _geometry_entry(epoch: int, geo: dict) -> dict:
+def mean_of_net_rows(rows: list[dict]) -> dict:
+    """A main epoch's record values from the nets' rows, in net order.
+
+    Each value is the mean of the nets' values that are present and not None
+    (None if no net has one); `support_fallback` is True if any net fell back,
+    and `first_batch_terms` is net 0's (None if net 0 ran no step).
+    """
+    values = {key: [row[key] for row in rows if row.get(key) is not None] for key in _MEAN_KEYS}
+    record = {key: float(np.mean(v)) if v else None for key, v in values.items()}
+    record["support_fallback"] = any(row["support_fallback"] for row in rows)
+    record["first_batch_terms"] = rows[0]["first_batch_terms"]
+    return record
+
+
+def _geometry_entry(epoch: int, geo: dict, sampler: str) -> dict:
     """One net's line of the geometry dump for one epoch."""
     return {
         "epoch": epoch,
@@ -242,7 +257,7 @@ def _geometry_entry(epoch: int, geo: dict) -> dict:
                       for c, center in zip(geo["centroids"].class_ids, geo["centroids"].centers)},
         "n_candidates": geo["outliers"].n_candidates,
         "n_accepted": geo["outliers"].n_accepted,
-        "sampler": geo["outliers"].sampler,
+        "sampler": sampler,
     }
 
 
@@ -346,48 +361,55 @@ class Experiment:
     # -- one main epoch ----------------------------------------------------
 
     def run_epoch(self, epoch: int):
-        cfg = self.config
-        main_idx = epoch - cfg.warmup_epochs
-        raw_losses = [self._per_sample_gce(net) for net in self.nets]
-        norm_losses = [partition.normalize_losses(l) for l in raw_losses]
-
-        per_net = []
-        first_batch_terms = None
-        for k, net in enumerate(self.nets):
-            peer = (1 - k) if self.n_nets == 2 else k
-            gmm = partition.fit_gmm_1d(norm_losses[peer])
-            labeled_ids, unlabeled_ids, w = partition.partition_epoch(
-                self.sel_states[k], norm_losses[peer], gmm, cfg.tau_clean)
-            support = partition.support_set(self.sel_states[k])
-            fallback = support.size == 0
-            train_labeled = labeled_ids if fallback else support
-            train_unlabeled = np.arange(cfg.n_train)[~self._id_mask(train_labeled)]
-
-            geo = self._epoch_geometry(net, support) if not cfg.disable_vos else None
-            stats = self._train_net(k, net, train_labeled, train_unlabeled, w,
-                                    support, geo, main_idx, epoch)
-            batch_terms = stats.pop("first_batch_terms")
-            if k == 0:
-                first_batch_terms = batch_terms
-            in_support = self._id_mask(support)
-            sel = metrics.selection_metrics(in_support, self.dataset.clean_mask)
-            per_net.append({
-                "n_labeled": len(labeled_ids), "n_support": len(support),
-                "fallback": fallback, "selection": sel, "geometry": geo, "stats": stats,
-                "support": support,
-            })
-            if cfg.dump_selection:
-                self._selection_log[k].append((epoch, norm_losses[peer], w, in_support))
-
-        if cfg.dump_geometry:
-            for k, p in enumerate(per_net):
-                if p["geometry"] is not None:
-                    self._geometry_log[k].append(_geometry_entry(epoch, p["geometry"]))
-        record = self._epoch_record(epoch, per_net, first_batch_terms)
+        norm_losses = [partition.normalize_losses(self._per_sample_gce(net))
+                       for net in self.nets]
+        rows = [self._net_epoch(k, epoch, norm_losses) for k in range(self.n_nets)]
+        record = self._record(epoch=epoch, phase="main", **mean_of_net_rows(rows),
+                              test_accuracy=self._test_accuracy())
         self.report.epochs.append(record)
-        if cfg.export_features and self.out_dir is not None:
-            self._export_features(epoch, per_net[0]["geometry"])
         return record
+
+    def _net_epoch(self, k: int, epoch: int, norm_losses: list) -> dict:
+        """Net k's main epoch, phase by phase, and its row of record values. After
+        its own training net k is only read (as a peer), so its values are final here."""
+        cfg = self.config
+        net = self.nets[k]
+        peer_losses = norm_losses[(1 - k) if self.n_nets == 2 else k]
+        gmm = partition.fit_gmm_1d(peer_losses)
+        labeled_ids, _, w = partition.partition_epoch(self.sel_states[k], peer_losses, gmm,
+                                                      cfg.tau_clean)
+        support = partition.support_set(self.sel_states[k])
+        fallback = support.size == 0
+        train_labeled = labeled_ids if fallback else support
+        train_unlabeled = np.arange(cfg.n_train)[~self._id_mask(train_labeled)]
+
+        geo = self._epoch_geometry(net, support)
+        row = self._train_net(k, epoch, train_labeled, train_unlabeled, w, support, geo)
+
+        in_support = self._id_mask(support)
+        sel = metrics.selection_metrics(in_support, self.dataset.clean_mask)
+        row.update(n_labeled=len(labeled_ids), n_support=len(support), support_fallback=fallback,
+                   selection_precision=sel.precision, selection_recall=sel.recall,
+                   selection_f1=sel.f1)
+        if support.size:
+            row["mean_energy_clean"] = nn.energies(
+                nn.predict_logits(net, self.view.features[support]), cfg.energy_temperature).mean()
+        if geo is not None:
+            outliers = geo["outliers"]
+            row.update(envelope_log_volume=geo["envelope"].log_volume(),
+                       n_candidates=outliers.n_candidates, n_outliers=outliers.n_accepted,
+                       tau_rej_effective=geo["tau"])
+            if outliers.n_accepted:
+                row["mean_energy_outlier"] = nn.energies(
+                    nn.head_forward(net, outliers.features), cfg.energy_temperature).mean()
+
+        if cfg.dump_selection:
+            self._selection_log[k].append((epoch, peer_losses, w, in_support))
+        if cfg.dump_geometry and geo is not None:
+            self._geometry_log[k].append(_geometry_entry(epoch, geo, cfg.sampler))
+        if k == 0 and cfg.export_features and self.out_dir is not None:
+            self._export_features(epoch, geo)
+        return row
 
     def _id_mask(self, ids) -> np.ndarray:
         """Boolean mask over the training set, True at ids."""
@@ -396,12 +418,11 @@ class Experiment:
         return mask
 
     def _epoch_geometry(self, net, support_ids):
-        """Envelope, centroids, candidate synthesis, and filtering for one net."""
+        """One net's envelope, centroids and filtered outliers; None without VOS or support."""
         cfg = self.config
-        if support_ids.size == 0:
+        if cfg.disable_vos or support_ids.size == 0:
             return None
-        feats = nn.forward_batch(net, self.view.features[support_ids],
-                                 want_logits=False).features
+        feats = nn.predict_features(net, self.view.features[support_ids])
         labels = self.view.noisy_labels[support_ids]
         envelope = geometry.estimate_envelope(feats)
         centroids = geometry.class_centroids(feats, labels)
@@ -413,18 +434,19 @@ class Experiment:
         n_cand = int(min(cfg.n_cand_factor * len(support_ids), cfg.n_cand_cap))
         candidates = geometry.sample_candidates(envelope, centroids, feats, labels, n_cand,
                                                 cfg.sampler, self.streams["geometry"])
-        batch = geometry.filter_outliers(candidates, centroids, tau, cfg.sampler)
+        batch = geometry.filter_outliers(candidates, centroids, tau)
         return {"envelope": envelope, "centroids": centroids, "outliers": batch, "tau": tau}
 
-    def _train_net(self, k, net, labeled_ids, unlabeled_ids, w, support_ids, geo,
-                   main_idx, epoch):
+    def _train_net(self, k, epoch, labeled_ids, unlabeled_ids, w, support_ids, geo):
+        """Net k's SGD steps; its mean losses and first-batch terms under the record's keys."""
         cfg = self.config
+        net = self.nets[k]
+        main_idx = epoch - cfg.warmup_epochs
         lam_u = cfg.lambda_u * min(1.0, main_idx / cfg.lambda_u_ramp_epochs)
         lam_cl = 0.0 if cfg.disable_cl else cfg.lambda_cl
         lam_energy = 0.0 if cfg.disable_vos else cfg.lambda_energy
         outliers = geo["outliers"].features if geo is not None else np.empty((0, net.feature_dim))
-        term_sums = dict.fromkeys(nn.LOSS_TERMS, 0.0)
-        total_sum = 0.0
+        sums = dict.fromkeys(("loss_total",) + tuple(f"loss_{t}" for t in nn.LOSS_TERMS), 0.0)
         first_batch_terms = None
 
         order = self.streams["train_shuffle"].permutation(labeled_ids)
@@ -443,7 +465,7 @@ class Experiment:
                 ub_ids = u_order[idx]
                 u_pos = (u_pos + take) % len(u_order)
 
-            batch = self._build_batch(net, xb_ids, ub_ids, w, support_ids, outliers,
+            batch = self._build_batch(xb_ids, ub_ids, w, support_ids, outliers,
                                       lam_u, lam_cl, lam_energy)
             value, terms, bundle = nn.total_loss_and_grads(net, batch)
             if not np.isfinite(value) or not bundle.is_finite():
@@ -453,18 +475,16 @@ class Experiment:
                                              cfg.momentum, self.opt_states[k])
             if first_batch_terms is None:
                 first_batch_terms = dict(terms)
-            for name in term_sums:
-                term_sums[name] += terms[name]
-            total_sum += value
+            sums["loss_total"] += value
+            for name in nn.LOSS_TERMS:
+                sums[f"loss_{name}"] += terms[name]
             executed += 1
 
-        n = max(executed, 1)
-        out = {name: s / n for name, s in term_sums.items()}
-        out["total"] = total_sum / n
-        out["first_batch_terms"] = first_batch_terms
-        return out
+        row = {key: total / max(executed, 1) for key, total in sums.items()}
+        row["first_batch_terms"] = first_batch_terms
+        return row
 
-    def _build_batch(self, net, xb_ids, ub_ids, w, support_ids, outliers,
+    def _build_batch(self, xb_ids, ub_ids, w, support_ids, outliers,
                      lam_u, lam_cl, lam_energy) -> nn.TotalLossBatch:
         cfg = self.config
         xb = self.view.features[xb_ids]
@@ -524,55 +544,10 @@ class Experiment:
         record.update(kwargs)
         return record
 
-    def _epoch_record(self, epoch, per_net, first_batch_terms) -> dict:
-        stats = [p["stats"] for p in per_net]
-        mean_stat = {name: float(np.mean([s[name] for s in stats]))
-                     for name in ("total",) + nn.LOSS_TERMS}
-        sels = [p["selection"] for p in per_net]
-        precisions = [s.precision for s in sels if s.precision is not None]
-        geo_present = [p["geometry"] for p in per_net if p["geometry"] is not None]
-
-        energy_clean, energy_outlier = self._epoch_energies(per_net)
-        record = self._record(
-            epoch=epoch, phase="main",
-            loss_total=mean_stat["total"], loss_labeled=mean_stat["labeled"],
-            loss_unlabeled=mean_stat["unlabeled"], loss_prior=mean_stat["prior"],
-            loss_contrastive=mean_stat["contrastive"], loss_energy=mean_stat["energy"],
-            n_labeled=float(np.mean([p["n_labeled"] for p in per_net])),
-            n_support=float(np.mean([p["n_support"] for p in per_net])),
-            support_fallback=any(p["fallback"] for p in per_net),
-            selection_precision=_mean_or_none(precisions),
-            selection_recall=float(np.mean([s.recall for s in sels])),
-            selection_f1=float(np.mean([s.f1 for s in sels])),
-            envelope_log_volume=_mean_or_none([g["envelope"].log_volume() for g in geo_present]),
-            n_candidates=_mean_or_none([g["outliers"].n_candidates for g in geo_present]),
-            n_outliers=_mean_or_none([g["outliers"].n_accepted for g in geo_present]),
-            tau_rej_effective=_mean_or_none([g["tau"] for g in geo_present]),
-            mean_energy_clean=energy_clean, mean_energy_outlier=energy_outlier,
-            test_accuracy=self._test_accuracy(),
-            first_batch_terms=first_batch_terms,
-        )
-        return record
-
-    def _epoch_energies(self, per_net):
-        cfg = self.config
-        clean_vals, out_vals = [], []
-        for net, p in zip(self.nets, per_net):
-            support = p["support"]
-            if support.size:
-                logits = nn.predict_logits(net, self.view.features[support])
-                clean_vals.append(nn.energies(logits, cfg.energy_temperature).mean())
-            g = p["geometry"]
-            if g is not None and g["outliers"].n_accepted:
-                out_vals.append(nn.energies(nn.head_forward(net, g["outliers"].features),
-                                            cfg.energy_temperature).mean())
-        return _mean_or_none(clean_vals), _mean_or_none(out_vals)
-
     def _export_features(self, epoch, geo):
         out = self.out_dir / "features"
         out.mkdir(exist_ok=True)
-        feats = nn.forward_batch(self.nets[0], self.view.features,
-                                 want_logits=False).features
+        feats = nn.predict_features(self.nets[0], self.view.features)
         clean = self.dataset.clean_mask
         d = feats.shape[1]
         with open(out / f"epoch_{epoch:04d}.csv", "w", newline="") as fh:

@@ -200,6 +200,15 @@ def predict_logits(net: DenseNet, x: np.ndarray) -> np.ndarray:
     return _run_segment(net, x, 0, net.classifier_end, None)
 
 
+def predict_features(net: DenseNet, x: np.ndarray) -> np.ndarray:
+    """Extractor features of x, with no backprop cache: the forward of feature-only callers.
+
+    Equal, bit for bit, to `forward_batch(net, x, want_logits=False).features`.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    return _run_segment(net, x, 0, net.extractor_end, None)
+
+
 def head_forward(net: DenseNet, features: np.ndarray, cache: ForwardCache | None = None) -> np.ndarray:
     """Classifier logits from feature-space inputs (extractor bypassed)."""
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))

@@ -57,7 +57,9 @@ GOLDEN_OOD_EVAL = {"ood_far": {"auroc": 0.0, "fpr95": 1.0},
 DUMPS = dict(dump_selection=True, dump_geometry=True, export_features=True)
 GOLDEN_DUMPS = {
     "selection_net0.csv": "9632a5568c75191de77a5907122ce303a5ae1e5f61d66ee05d98e4f2da3bf1fd",
+    "selection_net1.csv": "403c246d50d376c32bc58e51c98f1e7cf3efc6284cef8a908900d0183e99fd74",
     "geometry_net0.jsonl": "07e2c7b99d4e34e98c7888d0e6de51cde5ffea1db9cd1d426f0fba76784b82e7",
+    "geometry_net1.jsonl": "01c098f68c84a2009e36564ea7f76b7b4e928983b6326c0d72db2067ba9c1090",
     "features/epoch_0002.csv": "3878e01ccb4eaf7f8a8056833feb05b10162f6fb6f265965293473dc32a0531e",
     "features/epoch_0003.csv": "87aa931e7a2f2c48e68b60f05a5a0f90838bba221e78cbd6a03a44e2e885031d",
     "features/epoch_0004.csv": "7d9ada7732cc8eb0f6f9a9761a06d57822219e98d21ec617695a1473c8376e5e",

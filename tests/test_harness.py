@@ -12,7 +12,7 @@ from noisylab import RunConfig, data, nn, run_experiment
 from noisylab.cli import main as cli_main
 from noisylab.errors import ConfigError
 from noisylab.harness import (REPORT_SCHEMA, Experiment, build_datasets, evaluate_ood,
-                              load_model, ood_scores, save_model)
+                              load_model, mean_of_net_rows, ood_scores, save_model)
 
 SMOKE = dict(n_train=300, n_test=150, warmup_epochs=2, total_epochs=5,
              hidden_dims=(16, 8), ood_n=100, window=2)
@@ -165,6 +165,46 @@ class TestRunExperiment:
         report = run_experiment(RunConfig(seed=6, noise_mode="asymmetric",
                                           noise_rate=0.3, **SMOKE))
         assert not report.incomplete
+
+
+class TestEpochRecordRule:
+    def test_mean_of_net_rows(self):
+        terms0 = dict.fromkeys(nn.LOSS_TERMS, 0.25)
+        # net 0 has an empty support: no precision, no geometry, no energies
+        net0 = {"loss_total": 1.5, "loss_labeled": 0.75, "n_labeled": 40, "n_support": 0,
+                "support_fallback": True, "selection_precision": None,
+                "selection_recall": 0.0, "selection_f1": 0.0, "mean_energy_clean": None,
+                "mean_energy_outlier": None, "first_batch_terms": terms0}
+        net1 = {"loss_total": 0.5, "loss_labeled": 0.3, "n_labeled": 45, "n_support": 31,
+                "support_fallback": False, "selection_precision": 0.8,
+                "selection_recall": 0.6, "selection_f1": 0.7, "mean_energy_clean": -4.0,
+                "envelope_log_volume": 2.5, "n_candidates": 310, "n_outliers": 12,
+                "tau_rej_effective": 1.25, "mean_energy_outlier": -1.0,
+                "first_batch_terms": dict.fromkeys(nn.LOSS_TERMS, 9.0)}
+        record = mean_of_net_rows([net0, net1])
+        assert set(record) == set(REPORT_SCHEMA["properties"]["epochs"]["items"]["properties"]) \
+            - {"epoch", "phase", "test_accuracy"}
+        assert record["loss_total"] == 1.0 and record["loss_labeled"] == float(np.mean([0.75, 0.3]))
+        assert record["n_labeled"] == 42.5 and type(record["n_labeled"]) is float
+        assert record["n_support"] == 15.5
+        # a value only one net has is that net's value, not half of it
+        assert record["selection_precision"] == 0.8
+        assert record["mean_energy_clean"] == -4.0 and record["mean_energy_outlier"] == -1.0
+        assert (record["envelope_log_volume"], record["n_candidates"], record["n_outliers"],
+                record["tau_rej_effective"]) == (2.5, 310.0, 12.0, 1.25)
+        assert record["selection_recall"] == 0.3
+        # a key that no net has is None
+        assert record["loss_prior"] is None
+        assert record["support_fallback"] is True
+        assert record["first_batch_terms"] is terms0
+        assert mean_of_net_rows([net1, net0])["first_batch_terms"]["labeled"] == 9.0
+        assert mean_of_net_rows([dict(net1, support_fallback=False, first_batch_terms=None),
+                                 net1])["support_fallback"] is False
+        assert mean_of_net_rows([dict(net1, first_batch_terms=None), net1])[
+            "first_batch_terms"] is None
+        single = mean_of_net_rows([net0])
+        assert single["selection_precision"] is None and single["n_support"] == 0.0
+        assert single["envelope_log_volume"] is None
 
 
 class TestAblationIsolation:
@@ -416,10 +456,10 @@ class TestCli:
     def test_export_features_command(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         small = dict(SMOKE, hidden_dims=list(SMOKE["hidden_dims"]),
-                     n_train=120, n_test=50, total_epochs=3, warmup_epochs=1)
+                     n_train=120, n_test=50, total_epochs=3, warmup_epochs=1,
+                     export_features=True)
         cfg.write_text(json.dumps(small))
-        rc = cli_main(["export-features", "--config", str(cfg),
-                       "--out-dir", str(tmp_path / "ef")])
+        rc = cli_main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "ef")])
         assert rc == 0
         assert len(list((tmp_path / "ef" / "features").glob("epoch_*.csv"))) == 2
 

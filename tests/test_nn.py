@@ -61,7 +61,9 @@ class TestForward:
         for net in nets:
             x = rng.normal(size=(int(rng.integers(1, 300)), net.input_dim))
             before = x.copy()
-            assert np.array_equal(nn.predict_logits(net, x), nn.forward_batch(net, x).logits)
+            cache = nn.forward_batch(net, x)
+            assert np.array_equal(nn.predict_logits(net, x), cache.logits)
+            assert np.array_equal(nn.predict_features(net, x), cache.features)
             assert np.array_equal(x, before)
         with pytest.raises(ShapeError):
             nn.predict_logits(identity_net(), np.zeros(3))
