@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Subcommands: gen-data, train, ood-eval, ablate. The per-epoch dumps (selection,
-geometry, features) are switched on by config keys, not by flags.
+Subcommands: gen-data, train, ood-eval, ablate. Every run option (the ablation
+switches, the sampler, the rejection radius, the per-epoch dumps) is a key of
+the `--config` JSON file, not a flag; `--seed` alone overrides one.
 Exit codes: 0 success, 2 config or input error, 3 training error, 4 I/O error.
 """
 
@@ -25,27 +26,13 @@ EXIT_TRAINING = 3
 EXIT_IO = 4
 
 
-def _load_config(args) -> RunConfig:
-    config = RunConfig.from_json(args.config) if args.config else RunConfig()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "disable_vos", False):
-        overrides["disable_vos"] = True
-    if getattr(args, "disable_cl", False):
-        overrides["disable_cl"] = True
-    if getattr(args, "sampler", None):
-        overrides["sampler"] = args.sampler
-    if getattr(args, "tau_rej", None) is not None:
-        overrides["tau_rej"] = args.tau_rej
-        overrides["tau_auto"] = False
-    if getattr(args, "tau_auto", False):
-        overrides["tau_auto"] = True
-    return config.replace(**overrides) if overrides else config
+def _load_config(path, seed=None) -> RunConfig:
+    config = RunConfig.from_json(path) if path else RunConfig()
+    return config if seed is None else config.replace(seed=seed)
 
 
 def _cmd_gen_data(args) -> int:
-    config = _load_config(args)
+    config = _load_config(args.config, args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train, test, ood_far, ood_near = build_datasets(config)
@@ -58,7 +45,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = _load_config(args)
+    config = _load_config(args.config, args.seed)
     report = run_experiment(config, out_dir=args.out_dir)
     summary = report.summary
     print(f"final accuracy {summary['final_test_accuracy']:.4f} "
@@ -115,14 +102,13 @@ def _ablate_variants(grid: str, config: RunConfig):
                 ("vos_off", config.replace(disable_vos=True))]
     if grid == "sampler":
         return [(s, config.replace(sampler=s)) for s in SAMPLERS]
-    if grid == "tau":
-        return [(f"tau_{s:g}x", config.replace(tau_auto=True, tau_auto_scale=s))
-                for s in (0.5, 1.0, 1.5)]
-    raise ConfigError(f"unknown ablation grid {grid!r}")
+    # "tau", the last of the grids that `--grid` accepts
+    return [(f"tau_{s:g}x", config.replace(tau_auto=True, tau_auto_scale=s))
+            for s in (0.5, 1.0, 1.5)]
 
 
 def _cmd_ablate(args) -> int:
-    config = _load_config(args)
+    config = _load_config(args.config)
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
@@ -160,13 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Noisy-label training laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
-        p.add_argument("--config", help="JSON config file (defaults apply)")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        if out_required:
-            p.add_argument("--out-dir", required=True, help="output directory")
-        else:
-            p.add_argument("--out-dir", help="output directory")
+    def common(p, seed=True, out_required=True):
+        p.add_argument("--config", help="JSON config file of run options (defaults apply)")
+        if seed:
+            p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--out-dir", required=out_required, help="output directory")
 
     p = sub.add_parser("gen-data", help="write dataset CSVs")
     common(p)
@@ -174,14 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run a full experiment")
     common(p, out_required=False)
-    p.add_argument("--disable-vos", action="store_true",
-                   help="drop the virtual-outlier energy term")
-    p.add_argument("--disable-cl", action="store_true",
-                   help="drop the contrastive term")
-    p.add_argument("--sampler", choices=SAMPLERS, help="candidate sampling strategy")
-    p.add_argument("--tau-rej", type=float, help="fixed rejection radius")
-    p.add_argument("--tau-auto", action="store_true",
-                   help="rescale the rejection radius from centroid distances")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("ood-eval", help="score a saved run against OOD files")
@@ -191,8 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the metrics JSON here too")
     p.set_defaults(func=_cmd_ood_eval)
 
-    p = sub.add_parser("ablate", help="run an ablation grid and emit a comparison CSV")
-    common(p)
+    # no abbreviations: `--seed` would otherwise be read as `--seeds`
+    p = sub.add_parser("ablate", help="run an ablation grid and emit a comparison CSV",
+                       allow_abbrev=False)
+    common(p, seed=False)
     p.add_argument("--grid", choices=("vos", "sampler", "tau"), required=True)
     p.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated seeds")
     p.add_argument("--keep-runs", action="store_true",
@@ -219,7 +197,7 @@ def main(argv=None) -> int:
     except NoisylabError as exc:  # e.g. inputs that drive the nets' scores non-finite
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, FileNotFoundError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -202,7 +202,6 @@ REPORT_SCHEMA = {
         "summary": {
             "type": "object",
             "additionalProperties": False,
-            "required": ["best_test_accuracy", "final_test_accuracy", "ood"],
             "properties": {
                 "best_test_accuracy": {"type": "number"},
                 "final_test_accuracy": {"type": "number"},
@@ -222,6 +221,10 @@ REPORT_SCHEMA = {
             },
         },
     },
+    # a run stopped by a training error writes its report with an empty summary
+    "if": {"properties": {"incomplete": {"const": False}}},
+    "then": {"properties": {"summary": {
+        "required": ["best_test_accuracy", "final_test_accuracy", "ood"]}}},
 }
 
 #: every per-epoch record carries all of these keys, null when not measured
@@ -356,7 +359,6 @@ class Experiment:
             self.report.epochs.append(self._record(
                 epoch=epoch, phase="warmup", loss_total=float(np.mean(gce_means)),
                 test_accuracy=self._test_accuracy()))
-        return [self._per_sample_gce(net) for net in self.nets]
 
     # -- one main epoch ----------------------------------------------------
 
@@ -376,21 +378,21 @@ class Experiment:
         net = self.nets[k]
         peer_losses = norm_losses[(1 - k) if self.n_nets == 2 else k]
         gmm = partition.fit_gmm_1d(peer_losses)
-        labeled_ids, _, w = partition.partition_epoch(self.sel_states[k], peer_losses, gmm,
-                                                      cfg.tau_clean)
-        support = partition.support_set(self.sel_states[k])
+        labeled, w = partition.partition_epoch(self.sel_states[k], peer_losses, gmm,
+                                               cfg.tau_clean)
+        in_support = partition.support_mask(self.sel_states[k])
+        support = np.flatnonzero(in_support)
         fallback = support.size == 0
-        train_labeled = labeled_ids if fallback else support
-        train_unlabeled = np.arange(cfg.n_train)[~self._id_mask(train_labeled)]
+        train_labeled = labeled if fallback else in_support
 
         geo = self._epoch_geometry(net, support)
-        row = self._train_net(k, epoch, train_labeled, train_unlabeled, w, support, geo)
+        row = self._train_net(k, epoch, np.flatnonzero(train_labeled),
+                              np.flatnonzero(~train_labeled), w, support, geo)
 
-        in_support = self._id_mask(support)
         sel = metrics.selection_metrics(in_support, self.dataset.clean_mask)
-        row.update(n_labeled=len(labeled_ids), n_support=len(support), support_fallback=fallback,
-                   selection_precision=sel.precision, selection_recall=sel.recall,
-                   selection_f1=sel.f1)
+        row.update(n_labeled=np.count_nonzero(labeled), n_support=len(support),
+                   support_fallback=fallback, selection_precision=sel.precision,
+                   selection_recall=sel.recall, selection_f1=sel.f1)
         if support.size:
             row["mean_energy_clean"] = nn.energies(
                 nn.predict_logits(net, self.view.features[support]), cfg.energy_temperature).mean()
@@ -410,12 +412,6 @@ class Experiment:
         if k == 0 and cfg.export_features and self.out_dir is not None:
             self._export_features(epoch, geo)
         return row
-
-    def _id_mask(self, ids) -> np.ndarray:
-        """Boolean mask over the training set, True at ids."""
-        mask = np.zeros(self.config.n_train, dtype=bool)
-        mask[ids] = True
-        return mask
 
     def _epoch_geometry(self, net, support_ids):
         """One net's envelope, centroids and filtered outliers; None without VOS or support."""
@@ -512,8 +508,7 @@ class Experiment:
 
         contrast_views = None
         if lam_cl > 0.0 and len(ub_ids) >= 2:
-            s1, s2 = self._strong(self.view.features[ub_ids]), \
-                self._strong(self.view.features[ub_ids])
+            s1, s2 = self._strong(ub), self._strong(ub)
             contrast_views = np.stack([s1, s2], axis=1).reshape(2 * len(ub_ids), -1)
 
         support_x = None

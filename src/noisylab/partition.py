@@ -147,9 +147,8 @@ def partition_epoch(state: SelectionState, losses: np.ndarray, gmm: Gmm1d,
                     tau_clean: float):
     """Split samples by clean probability and push the clean indicators.
 
-    Returns (labeled ids, unlabeled ids, clean probabilities). The
-    threshold is boundary-inclusive: w == tau_clean lands on the labeled
-    side.
+    Returns (labeled mask, clean probabilities). The threshold is
+    boundary-inclusive: w == tau_clean lands on the labeled side.
     """
     if not (0.0 < tau_clean < 1.0):
         raise ParameterError(f"tau_clean must lie in (0, 1), got {tau_clean}")
@@ -157,12 +156,12 @@ def partition_epoch(state: SelectionState, losses: np.ndarray, gmm: Gmm1d,
     if len(losses) != state.n_samples:
         raise ParameterError("loss vector length does not match the state")
     w = clean_probability(gmm, losses)
-    member = w >= tau_clean
-    state.push_indicators(member)
-    ids = np.arange(state.n_samples)
-    return ids[member], ids[~member], w
+    labeled = w >= tau_clean
+    state.push_indicators(labeled)
+    return labeled, w
 
 
-def support_set(state: SelectionState) -> np.ndarray:
-    """Ids clean in each of the last `window` epochs; empty until `window` epochs passed."""
-    return np.flatnonzero(state.streak >= state.window)
+def support_mask(state: SelectionState) -> np.ndarray:
+    """True where a sample was clean in each of the last `window` epochs; all
+    False until `window` epochs have passed."""
+    return state.streak >= state.window

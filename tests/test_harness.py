@@ -93,10 +93,9 @@ class TestWarmup:
             k: v for k, v in SMOKE.items() if k not in ("warmup_epochs", "total_epochs")})
         exp = Experiment(cfg)
         before = [l.weights.copy() for net in exp.nets for l in net.layers]
-        losses = exp.warmup()
+        exp.warmup()
         after = [l.weights for net in exp.nets for l in net.layers]
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
-        assert len(losses) == 2 and all(np.isfinite(l).all() for l in losses)
 
     def test_clean_separable_data_reaches_high_train_accuracy(self):
         cfg = RunConfig(seed=2, n_train=400, n_test=200, noise_rate=0.0, separation=6.0,
@@ -109,18 +108,25 @@ class TestWarmup:
         train_acc = metrics.accuracy(probs, exp.dataset.true_labels)
         assert train_acc > 0.95
 
-    def test_identical_seeds_identical_loss_tables(self):
+    def test_identical_seeds_identical_weights(self):
         cfg = RunConfig(seed=11, **SMOKE)
-        a = Experiment(cfg).warmup()
-        b = Experiment(cfg).warmup()
-        for la, lb in zip(a, b):
-            assert np.array_equal(la, lb)
+        a, b = Experiment(cfg), Experiment(cfg)
+        a.warmup()
+        b.warmup()
+        params = [[p for net in exp.nets for l in net.layers for p in (l.weights, l.bias)]
+                  for exp in (a, b)]
+        assert len(params[0]) == len(params[1]) > 0
+        assert all(np.array_equal(pa, pb) for pa, pb in zip(*params))
 
 
 class TestRunExperiment:
     def test_smoke_run_completes_and_validates(self, smoke_report):
         jsonschema = pytest.importorskip("jsonschema")
-        jsonschema.validate(json.loads(smoke_report.canonical_json()), REPORT_SCHEMA)
+        report = json.loads(smoke_report.canonical_json())
+        jsonschema.validate(report, REPORT_SCHEMA)
+        # only a report that a training error cut short may have an empty summary
+        with pytest.raises(jsonschema.ValidationError, match="best_test_accuracy"):
+            jsonschema.validate(dict(report, summary={}), REPORT_SCHEMA)
         assert not smoke_report.incomplete
         assert len(smoke_report.epochs) == 5
         assert smoke_report.epochs[0]["phase"] == "warmup"
@@ -334,17 +340,45 @@ class TestCli:
         result = json.loads((tmp_path / "ood.json").read_text())
         assert "ood_far" in result and "auroc" in result["ood_far"]
 
-    def test_train_cli_flags_override(self, tmp_path):
+    def test_train_run_options_from_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(dict(SMOKE, hidden_dims=list(SMOKE["hidden_dims"]))))
-        rc = cli_main(["train", "--config", str(cfg), "--disable-vos", "--sampler",
-                       "gaussian", "--tau-rej", "1.5",
+        cfg.write_text(json.dumps(dict(SMOKE, hidden_dims=list(SMOKE["hidden_dims"]),
+                                       disable_vos=True, sampler="gaussian", tau_rej=1.5,
+                                       tau_auto=False)))
+        rc = cli_main(["train", "--config", str(cfg), "--seed", "9",
                        "--out-dir", str(tmp_path / "r")])
         assert rc == 0
         echo = json.loads((tmp_path / "r" / "config.json").read_text())
         assert echo["disable_vos"] is True
         assert echo["sampler"] == "gaussian"
         assert echo["tau_rej"] == 1.5 and echo["tau_auto"] is False
+        assert echo["seed"] == 9
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--disable-vos"],
+        ["ablate", "--grid", "vos", "--seed", "3", "--seeds", "1"],
+    ], ids=["train-disable-vos", "ablate-seed"])
+    def test_removed_run_option_flags_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_training_error_exit_code(self, tmp_path, capsys):
+        jsonschema = pytest.importorskip("jsonschema")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_train": 200, "n_test": 60, "ood_n": 40,
+                                   "warmup_epochs": 2, "total_epochs": 5, "lr": 1000}))
+        capsys.readouterr()
+        rc = cli_main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "r")])
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert rc == 3
+        assert last.startswith("training error: ") and "(epoch " in last, last
+        report = json.loads((tmp_path / "r" / "report.json").read_text())
+        assert report["incomplete"] is True and report["summary"] == {}
+        jsonschema.validate(report, REPORT_SCHEMA)
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -2,9 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisylab import metrics
 from noisylab.errors import ParameterError, ShapeError
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@st.composite
+def score_pairs(draw):
+    """ID and OOD scores of 1-40 entries each from one alphabet of 2-40 values:
+    either split between the sets, every score distinct, or drawn with
+    replacement, which forces ties within and across the sets."""
+    alphabet = draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=40, unique=True))
+    if draw(st.booleans()):
+        split = draw(st.integers(1, len(alphabet) - 1))
+        return np.array(alphabet[:split]), np.array(alphabet[split:])
+    side = st.lists(st.sampled_from(alphabet), min_size=1, max_size=40)
+    return np.array(draw(side)), np.array(draw(side))
 
 
 class TestAccuracy:
@@ -81,12 +98,11 @@ class TestAuroc:
         s = np.array([0.1, 0.5, 0.5, 0.9])
         assert metrics.auroc(s, s.copy()) == 0.5
 
-    def test_matches_pairwise_oracle_on_random_sets(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            a = np.round(rng.normal(size=10), 1)  # rounding forces ties
-            b = np.round(rng.normal(size=10), 1)
-            assert abs(metrics.auroc(a, b) - brute_force_auroc(a, b)) < 1e-12
+    @PROPERTY
+    @given(score_pairs())
+    def test_matches_pairwise_oracle_on_random_sets(self, scores):
+        a, b = scores
+        assert abs(metrics.auroc(a, b) - brute_force_auroc(a, b)) < 1e-12
 
     def test_invariant_under_increasing_transform(self):
         rng = np.random.default_rng(3)
@@ -116,21 +132,18 @@ class TestFpr95:
         out = metrics.fpr_at_95_tpr(s, s.copy())
         assert abs(out - 0.95) <= 0.02
 
-    def test_matches_threshold_scan_oracle(self):
-        rng = np.random.default_rng(5)
-        for trial in range(40):
-            id_s = rng.normal(1.0, 1.0, size=40)
-            ood_s = rng.normal(0.0, 1.0, size=40)
-            if trial % 2:  # rounding forces ties within and across the sets
-                id_s, ood_s = np.round(id_s, 1), np.round(ood_s, 1)
-            got = metrics.fpr_at_95_tpr(id_s, ood_s)
-            # oracle: scan all observed thresholds, keep the largest with
-            # TPR >= 0.95, report its FPR
-            best_t = None
-            for t in np.concatenate([id_s, ood_s]):
-                if (id_s >= t).mean() >= 0.95 and (best_t is None or t > best_t):
-                    best_t = t
-            assert got == (ood_s >= best_t).mean()
+    @PROPERTY
+    @given(score_pairs())
+    def test_matches_threshold_scan_oracle(self, scores):
+        id_s, ood_s = scores
+        got = metrics.fpr_at_95_tpr(id_s, ood_s)
+        # oracle: scan all observed thresholds, keep the largest with
+        # TPR >= 0.95, report its FPR
+        best_t = None
+        for t in np.concatenate([id_s, ood_s]):
+            if (id_s >= t).mean() >= 0.95 and (best_t is None or t > best_t):
+                best_t = t
+        assert got == (ood_s >= best_t).mean()
 
     def test_nonincreasing_as_distributions_separate(self):
         rng = np.random.default_rng(6)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import gmm_oracle
 from noisylab import partition
@@ -13,6 +16,15 @@ def planted_mixture(n=2000, seed=0):
     comp = rng.random(n) < 0.5
     x = np.where(comp, rng.normal(0.1, 0.03, n), rng.normal(0.8, 0.05, n))
     return x
+
+
+def split_ids(labeled):
+    """The labeled and unlabeled ids of a labeled mask."""
+    return np.flatnonzero(labeled), np.flatnonzero(~labeled)
+
+
+def support_ids(state):
+    return np.flatnonzero(partition.support_mask(state))
 
 
 def mixture_log_likelihood(x, means, variances, weights):
@@ -153,14 +165,16 @@ class TestPartitionEpoch:
         state, gmm = self._state_and_gmm(n=1)
         # find the loss whose posterior equals exactly tau by symmetry:
         # with equal weights/variances, w = 0.5 at the midpoint 0.45
-        labeled, unlabeled, w = partition.partition_epoch(state, np.array([0.45]), gmm, 0.5)
+        mask, w = partition.partition_epoch(state, np.array([0.45]), gmm, 0.5)
+        labeled, unlabeled = split_ids(mask)
         assert np.isclose(w[0], 0.5)
         assert list(labeled) == [0] and len(unlabeled) == 0
 
     def test_all_low_probability_goes_unlabeled(self):
         state, gmm = self._state_and_gmm(n=5)
         losses = np.full(5, 0.8)  # at the noisy mean, w near 0
-        labeled, unlabeled, w = partition.partition_epoch(state, losses, gmm, 0.5)
+        mask, w = partition.partition_epoch(state, losses, gmm, 0.5)
+        labeled, unlabeled = split_ids(mask)
         assert len(labeled) == 0
         assert len(unlabeled) == 5
 
@@ -168,7 +182,8 @@ class TestPartitionEpoch:
         rng = np.random.default_rng(8)
         state, gmm = self._state_and_gmm(n=200)
         losses = rng.random(200)
-        labeled, unlabeled, w = partition.partition_epoch(state, losses, gmm, 0.5)
+        mask, w = partition.partition_epoch(state, losses, gmm, 0.5)
+        labeled, unlabeled = split_ids(mask)
         expect_labeled = [i for i in range(200) if w[i] >= 0.5]
         expect_unlabeled = [i for i in range(200) if w[i] < 0.5]
         assert list(labeled) == expect_labeled
@@ -178,7 +193,8 @@ class TestPartitionEpoch:
         rng = np.random.default_rng(9)
         state, gmm = self._state_and_gmm(n=50)
         for _ in range(7):
-            labeled, unlabeled, _ = partition.partition_epoch(state, rng.random(50), gmm, 0.5)
+            labeled, unlabeled = split_ids(
+                partition.partition_epoch(state, rng.random(50), gmm, 0.5)[0])
             assert set(labeled) & set(unlabeled) == set()
             assert len(labeled) + len(unlabeled) == 50
 
@@ -196,30 +212,32 @@ class TestSupportSet:
     def test_full_window_selects(self):
         state = partition.SelectionState(1, 3)
         self._push(state, [[1], [1], [1]])
-        assert list(partition.support_set(state)) == [0]
+        assert list(support_ids(state)) == [0]
 
     def test_one_miss_deselects(self):
         state = partition.SelectionState(1, 3)
         self._push(state, [[1], [1], [0]])
-        assert len(partition.support_set(state)) == 0
+        assert len(support_ids(state)) == 0
 
     def test_empty_before_window_fills(self):
         state = partition.SelectionState(4, 3)
         self._push(state, [[1, 1, 1, 1], [1, 1, 1, 1]])
-        assert len(partition.support_set(state)) == 0
+        assert len(support_ids(state)) == 0
 
-    def test_matches_brute_force_window_scan(self):
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 5), st.integers(1, 60), st.integers(1, 12), st.data())
+    def test_matches_brute_force_window_scan(self, v, n, epochs, data):
         # every prefix of the history, including those shorter than the window
-        rng = np.random.default_rng(21)
-        n, epochs = 300, 9
-        for v in range(1, 6):
-            history = (rng.random((epochs, n)) < 0.8).astype(int)
-            state = partition.SelectionState(n, v)
-            assert len(partition.support_set(state)) == 0
-            for e in range(1, epochs + 1):
-                state.push_indicators(history[e - 1])
-                expected = [i for i in range(n) if e >= v and history[e - v:e, i].all()]
-                assert list(partition.support_set(state)) == expected, (v, e)
+        # the fill makes most histories mostly clean or mostly noisy, so that long
+        # streaks and streaks broken by one epoch both occur at every window
+        history = data.draw(hnp.arrays(bool, (epochs, n), elements=st.booleans(),
+                                       fill=st.booleans()))
+        state = partition.SelectionState(n, v)
+        assert len(support_ids(state)) == 0
+        for e in range(1, epochs + 1):
+            state.push_indicators(history[e - 1])
+            expected = [i for i in range(n) if e >= v and history[e - v:e, i].all()]
+            assert list(support_ids(state)) == expected, (v, e)
 
     def test_support_subset_of_current_labeled(self):
         rng = np.random.default_rng(13)
@@ -227,8 +245,8 @@ class TestSupportSet:
         gmm = partition.Gmm1d(np.array([0.1, 0.8]), np.array([0.01, 0.01]),
                               np.array([0.5, 0.5]), small_idx=0)
         for _ in range(5):
-            labeled, _, _ = partition.partition_epoch(state, rng.random(100), gmm, 0.5)
-        assert set(partition.support_set(state)) <= set(labeled)
+            labeled, _ = split_ids(partition.partition_epoch(state, rng.random(100), gmm, 0.5)[0])
+        assert set(support_ids(state)) <= set(labeled)
 
 
 class TestNormalizeLosses:
@@ -249,9 +267,9 @@ def test_determinism_identical_inputs_identical_partitions():
         out = []
         rng = np.random.default_rng(2)
         for _ in range(4):
-            labeled, unlabeled, w = partition.partition_epoch(state, rng.random(400), gmm, 0.5)
-            out.append((labeled.copy(), w.copy()))
-        return out, partition.support_set(state)
+            mask, w = partition.partition_epoch(state, rng.random(400), gmm, 0.5)
+            out.append((np.flatnonzero(mask), w.copy()))
+        return out, support_ids(state)
 
     a, sup_a = run()
     b, sup_b = run()
