@@ -14,6 +14,7 @@ import csv
 import json
 import time
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,6 +52,32 @@ def child_seed(master: int, tag: int) -> int:
 
 def make_stream(master: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master, _STREAM_TAGS[name]]))
+
+
+@contextmanager
+def _steps_stop_on_fp_error(net: int, epoch: int, batch_now):
+    """Run one net-epoch's SGD steps with numpy's divide, overflow and invalid
+    errors raised, not warned about: the first one stops the run as a
+    TrainingError that names the epoch and `batch_now()`, the step it hit."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise TrainingError(f"floating-point error (net {net}): {exc}",
+                            epoch=epoch, batch=batch_now()) from exc
+
+
+def _view_predictions(net, block: np.ndarray, n_views: int) -> list[np.ndarray]:
+    """net's softmax predictions of each of the n_views equal views stacked in block.
+
+    One forward for the block, unless each view is a single row: numpy
+    multiplies a single row by GEMV, whose sums differ from a GEMM's.
+    """
+    rows = len(block) // n_views
+    if rows == 1:
+        return [nn.softmax(nn.predict_logits(net, block[i:i + 1])) for i in range(n_views)]
+    probs = nn.softmax(nn.predict_logits(net, block))
+    return [probs[i * rows:(i + 1) * rows] for i in range(n_views)]
 
 
 def build_datasets(config: RunConfig):
@@ -345,16 +372,20 @@ class Experiment:
                 order = self.streams["warmup_shuffle"].permutation(cfg.n_train)
                 epoch_loss = 0.0
                 n_batches = 0
-                for start in range(0, cfg.n_train, cfg.batch_size):
-                    ids = order[start:start + cfg.batch_size]
-                    value, bundle = nn.gce_loss_and_grads(
-                        net, self.view.features[ids], self.view.noisy_labels[ids], cfg.gce_q)
-                    if not np.isfinite(value):
-                        raise TrainingError("warm-up diverged", epoch=epoch, batch=n_batches)
-                    self.opt_states[k] = nn.sgd_step(net, bundle, cfg.lr, cfg.weight_decay,
-                                                     cfg.momentum, self.opt_states[k])
-                    epoch_loss += value
-                    n_batches += 1
+                with _steps_stop_on_fp_error(k, epoch, lambda: n_batches):
+                    for start in range(0, cfg.n_train, cfg.batch_size):
+                        ids = order[start:start + cfg.batch_size]
+                        value, bundle = nn.gce_loss_and_grads(
+                            net, self.view.features[ids], self.view.noisy_labels[ids],
+                            cfg.gce_q)
+                        if not np.isfinite(value):
+                            raise TrainingError("warm-up diverged", epoch=epoch,
+                                                batch=n_batches)
+                        self.opt_states[k] = nn.sgd_step(net, bundle, cfg.lr,
+                                                         cfg.weight_decay, cfg.momentum,
+                                                         self.opt_states[k])
+                        epoch_loss += value
+                        n_batches += 1
                 gce_means.append(epoch_loss / max(n_batches, 1))
             self.report.epochs.append(self._record(
                 epoch=epoch, phase="warmup", loss_total=float(np.mean(gce_means)),
@@ -450,31 +481,32 @@ class Experiment:
         n_steps = int(np.ceil(len(order) / cfg.batch_size))
         executed = 0
         u_pos = 0
-        for step in range(n_steps):
-            xb_ids = order[step * cfg.batch_size:(step + 1) * cfg.batch_size]
-            if len(xb_ids) < 2:
-                continue  # mixup and batch statistics need at least two rows
-            ub_ids = np.empty(0, dtype=int)
-            if len(u_order):
-                take = min(cfg.batch_size, len(u_order))
-                idx = (u_pos + np.arange(take)) % len(u_order)
-                ub_ids = u_order[idx]
-                u_pos = (u_pos + take) % len(u_order)
+        with _steps_stop_on_fp_error(k, epoch, lambda: step):
+            for step in range(n_steps):
+                xb_ids = order[step * cfg.batch_size:(step + 1) * cfg.batch_size]
+                if len(xb_ids) < 2:
+                    continue  # mixup and batch statistics need at least two rows
+                ub_ids = np.empty(0, dtype=int)
+                if len(u_order):
+                    take = min(cfg.batch_size, len(u_order))
+                    idx = (u_pos + np.arange(take)) % len(u_order)
+                    ub_ids = u_order[idx]
+                    u_pos = (u_pos + take) % len(u_order)
 
-            batch = self._build_batch(xb_ids, ub_ids, w, support_ids, outliers,
-                                      lam_u, lam_cl, lam_energy)
-            value, terms, bundle = nn.total_loss_and_grads(net, batch)
-            if not np.isfinite(value) or not bundle.is_finite():
-                raise TrainingError(f"non-finite training loss (net {k})",
-                                    epoch=epoch, batch=step)
-            self.opt_states[k] = nn.sgd_step(net, bundle, cfg.lr, cfg.weight_decay,
-                                             cfg.momentum, self.opt_states[k])
-            if first_batch_terms is None:
-                first_batch_terms = dict(terms)
-            sums["loss_total"] += value
-            for name in nn.LOSS_TERMS:
-                sums[f"loss_{name}"] += terms[name]
-            executed += 1
+                batch = self._build_batch(xb_ids, ub_ids, w, support_ids, outliers,
+                                          lam_u, lam_cl, lam_energy)
+                value, terms, bundle = nn.total_loss_and_grads(net, batch)
+                if not np.isfinite(value) or not bundle.is_finite():
+                    raise TrainingError(f"non-finite training loss (net {k})",
+                                        epoch=epoch, batch=step)
+                self.opt_states[k] = nn.sgd_step(net, bundle, cfg.lr, cfg.weight_decay,
+                                                 cfg.momentum, self.opt_states[k])
+                if first_batch_terms is None:
+                    first_batch_terms = dict(terms)
+                sums["loss_total"] += value
+                for name in nn.LOSS_TERMS:
+                    sums[f"loss_{name}"] += terms[name]
+                executed += 1
 
         row = {key: total / max(executed, 1) for key, total in sums.items()}
         row["first_batch_terms"] = first_batch_terms
@@ -484,27 +516,31 @@ class Experiment:
                      lam_u, lam_cl, lam_energy) -> nn.TotalLossBatch:
         cfg = self.config
         xb = self.view.features[xb_ids]
-        yb = self.view.noisy_labels[xb_ids]
-        wb = w[xb_ids]
-        x_views = [self._weak(xb), self._weak(xb)]
-        preds = [nn.softmax(nn.predict_logits(peer, v))
-                 for peer in self.nets for v in x_views]
-        tx = semisup.refine_labels(yb, wb, preds, cfg.n_classes, cfg.sharpen_temperature)
+        ub = self.view.features[ub_ids]
+        n_u_views = cfg.n_aug if len(ub_ids) else 0
+        # two weak views of xb, then n_aug of ub, in one draw: the stream fills
+        # rows in order, so each view gets the jitter of a draw of its own
+        all_x = self._weak(np.vstack([xb, xb] + [ub] * n_u_views))
+        n_lab = 2 * len(xb)
 
-        u_views, tu = [], None
-        if len(ub_ids):
-            ub = self.view.features[ub_ids]
-            u_views = [self._weak(ub) for _ in range(cfg.n_aug)]
-            u_preds = [nn.softmax(nn.predict_logits(peer, v))
-                       for peer in self.nets for v in u_views]
-            tu = semisup.guess_labels(u_preds, cfg.sharpen_temperature)
-
-        all_x = np.vstack(x_views + u_views)
-        all_t = np.vstack([tx] * len(x_views) + ([tu] * len(u_views) if u_views else []))
+        # each peer runs once on the labeled views and once on the unlabeled ones,
+        # and the predictions keep the (peer, view) order. One block of all views
+        # would move bits: OpenBLAS computes the 64 -> 8 layer with its small-matrix
+        # kernel only up to M * N = 1200, 150 rows of width 8.
+        x_preds, u_preds = [], []
+        for peer in self.nets:
+            x_preds += _view_predictions(peer, all_x[:n_lab], 2)
+            if n_u_views:
+                u_preds += _view_predictions(peer, all_x[n_lab:], n_u_views)
+        tx = semisup.refine_labels(self.view.noisy_labels[xb_ids], w[xb_ids], x_preds,
+                                   cfg.n_classes, cfg.sharpen_temperature)
+        targets = [tx, tx]
+        if n_u_views:
+            targets += [semisup.guess_labels(u_preds, cfg.sharpen_temperature)] * n_u_views
+        all_t = np.vstack(targets)
         perm = self.streams["mixup"].permutation(len(all_x))
         mixed_x, mixed_t, _ = semisup.mixup(all_x, all_t, all_x[perm], all_t[perm],
                                             cfg.mixup_alpha, self.streams["mixup"])
-        n_lab = len(xb) * len(x_views)
 
         contrast_views = None
         if lam_cl > 0.0 and len(ub_ids) >= 2:

@@ -243,14 +243,25 @@ def soft_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
     return float(-(targets * np.log(np.maximum(probs, CE_EPS))).sum(axis=1).mean())
 
 
-def energies(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Energy -T * logsumexp(logits / T) along the last axis, with a max shift."""
+def _energy_parts(logits: np.ndarray, temperature: float):
+    """(energies, exp(logits / T - row max), the row sums of those exponentials).
+
+    The exponentials divided by their row sums are softmax(logits / T), bit
+    for bit, so the energy and its gradient share one exp.
+    """
     if temperature <= 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
-    scaled = np.asarray(logits, dtype=np.float64) / temperature
-    m = scaled.max(axis=-1, keepdims=True)
-    lse = m[..., 0] + np.log(np.exp(scaled - m).sum(axis=-1))
-    return -temperature * lse
+    shifted = np.asarray(logits, dtype=np.float64) / temperature
+    m = shifted.max(axis=-1, keepdims=True)
+    shifted -= m
+    np.exp(shifted, out=shifted)
+    sums = shifted.sum(axis=-1)
+    return -temperature * (m[..., 0] + np.log(sums)), shifted, sums
+
+
+def energies(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """Energy -T * logsumexp(logits / T) along the last axis, with a max shift."""
+    return _energy_parts(logits, temperature)[0]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -422,12 +433,13 @@ def energy_bce_term(logits: np.ndarray, sign: float, temperature: float):
     sign +1 pushes energies down: -log(1 - sigmoid(E)) = softplus(E);
     sign -1 pushes them up: -log(sigmoid(E)) = softplus(-E).
     """
-    e = energies(logits, temperature)
+    e, exps, sums = _energy_parts(logits, temperature)
     raw = np.logaddexp(0.0, sign * e)  # softplus
     clipped = np.minimum(raw, ENERGY_BCE_CAP)
     d_e = sign * _sigmoid(sign * e) * (raw < ENERGY_BCE_CAP) / len(e)
     # dE/dlogits = -softmax(logits / T), row-wise
-    return float(clipped.mean()), d_e[:, None] * -softmax(logits / temperature)
+    exps /= sums[:, None]
+    return float(clipped.mean()), d_e[:, None] * -exps
 
 
 # ---------------------------------------------------------------------------

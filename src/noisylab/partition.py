@@ -69,10 +69,14 @@ def _sq_diff(x: np.ndarray, means) -> np.ndarray:
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """Sums along each row of a (2, n) array, added left to right.
 
-    A running sum, not pairwise `.sum()` or a dot product: it adds in the
-    same order as a column sum of the (n, 2) layout, so fits keep every bit.
+    They add in the order of a column sum of the (n, 2) layout, so fits
+    keep every bit; `np.cumsum(a, axis=1)[:, -1]` gives the same sums.
+    `np.add.reduce` (and so `.sum()`) adds pairwise, but numpy reduces
+    `subtract` left to right in a register: x - (-y) is exactly x + y,
+    and -0.0 is the exact identity of addition, so each partial sum here
+    equals the running sum's, without the cumsum's (2, n) output.
     """
-    return np.cumsum(a, axis=1)[:, -1]
+    return np.subtract.reduce(-a, axis=1, initial=-0.0)
 
 
 def fit_gmm_1d(losses, max_iters: int = 100, tol: float = 1e-6) -> Gmm1d:

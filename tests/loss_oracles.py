@@ -5,7 +5,8 @@ recompute the semi-supervised and contrastive loss values from
 already-computed predictions or projections, so tests can compare them
 against the terms the training path uses. `total_loss_and_grads` below
 is the composition of the step's gradients that `noisylab.nn` replaced,
-kept as an oracle.
+kept as an oracle, and `energy_bce_term` the composition of the energy
+term's value and gradient that it replaced.
 """
 
 import numpy as np
@@ -131,6 +132,16 @@ def backprop_projection(net, cache, dproj, bundle):
         draw[cache.degenerate_rows] = 0.0
     dfeat = _backward_segment(net, cache, draw, net.classifier_end, len(net.layers), bundle)
     _backward_segment(net, cache, dfeat, 0, net.extractor_end, bundle)
+
+
+def energy_bce_term(logits, sign, temperature):
+    """(value, dlogits) of the clamped energy BCE, from `nn.energies` and a
+    separate `nn.softmax(logits / T)` for dE/dlogits."""
+    e = nn.energies(logits, temperature)
+    raw = np.logaddexp(0.0, sign * e)
+    clipped = np.minimum(raw, nn.ENERGY_BCE_CAP)
+    d_e = sign * nn._sigmoid(sign * e) * (raw < nn.ENERGY_BCE_CAP) / len(e)
+    return float(clipped.mean()), d_e[:, None] * -nn.softmax(logits / temperature)
 
 
 def _head_only_energy(net, features, sign, temperature, bundle):

@@ -1,13 +1,18 @@
 """Configuration, orchestration, reports, persistence, and the CLI."""
 
+import dataclasses
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import batch_oracle
+import noisylab
 from noisylab import RunConfig, data, nn, run_experiment
 from noisylab.cli import main as cli_main
 from noisylab.errors import ConfigError
@@ -117,6 +122,42 @@ class TestWarmup:
                   for exp in (a, b)]
         assert len(params[0]) == len(params[1]) > 0
         assert all(np.array_equal(pa, pb) for pa, pb in zip(*params))
+
+
+def same_bits(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBuildBatch:
+    def test_matches_per_view_oracle_bit_for_bit(self):
+        cfg = RunConfig(seed=4, n_train=300, n_test=60, ood_n=40)
+        assert (cfg.batch_size, cfg.n_aug, len(cfg.hidden_dims)) == (64, 2, 2)
+        exp, ref = Experiment(cfg), Experiment(cfg)
+        rng = np.random.default_rng(0)
+        w = rng.random(cfg.n_train)
+        support = rng.choice(cfg.n_train, 90, replace=False)
+        outliers = rng.normal(size=(50, exp.nets[0].feature_dim))
+        ids = rng.permutation(cfg.n_train)
+        no_rows = np.empty(0, dtype=int)
+        steps = [(ids[:64], ids[64:128]), (ids[128:192], ids[192:256]),
+                 (ids[256:293], ids[293:]),  # a short last batch, fewer unlabeled rows
+                 (ids[:64], no_rows), (ids[64:66], ids[66:67])]
+        for step, (xb_ids, ub_ids) in enumerate(steps):
+            args = (xb_ids, ub_ids, w, support, outliers, 1.0, 0.5, 0.1)
+            got = exp._build_batch(*args)
+            want = batch_oracle.build_batch(ref, *args)
+            for f in dataclasses.fields(nn.TotalLossBatch):
+                assert same_bits(getattr(got, f.name), getattr(want, f.name)), (step, f.name)
+            for name in ("augment", "mixup", "contrast", "energy_draw"):
+                assert (exp.streams[name].bit_generator.state
+                        == ref.streams[name].bit_generator.state), (step, name)
+            # an SGD step on every net, so that later batches see other peers
+            for e, batch in ((exp, got), (ref, want)):
+                for net in e.nets:
+                    nn.sgd_step(net, nn.total_loss_and_grads(net, batch)[2], cfg.lr)
 
 
 class TestRunExperiment:
@@ -366,16 +407,22 @@ class TestCli:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_training_error_exit_code(self, tmp_path, capsys):
+    def test_training_error_exit_code(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_train": 200, "n_test": 60, "ood_n": 40,
                                    "warmup_epochs": 2, "total_epochs": 5, "lr": 1000}))
-        capsys.readouterr()
-        rc = cli_main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "r")])
-        last = capsys.readouterr().err.splitlines()[-1]
-        assert rc == 3
-        assert last.startswith("training error: ") and "(epoch " in last, last
+        # a fresh interpreter, since pytest would collect numpy's warnings from stderr
+        src = str(Path(noisylab.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "noisylab.cli", "train", "--config", str(cfg),
+                               "--out-dir", str(tmp_path / "r")],
+                              env=env, capture_output=True, text=True, timeout=300)
+        err = proc.stderr
+        assert proc.returncode == 3
+        assert err.count("\n") == 1, err  # no numpy warning before the message
+        assert err.startswith("training error: ") and "(epoch " in err, err
         report = json.loads((tmp_path / "r" / "report.json").read_text())
         assert report["incomplete"] is True and report["summary"] == {}
         jsonschema.validate(report, REPORT_SCHEMA)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import loss_oracles
 from noisylab import nn
 from noisylab.errors import ParameterError, ShapeError
 
@@ -209,6 +210,23 @@ class TestEnergy:
     def test_temperature_validated(self):
         with pytest.raises(ParameterError):
             nn.energies(np.zeros(3), 0.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("temperature", [0.1, 0.5, 1.0, 2.5])
+    def test_bce_term_matches_energies_and_softmax_bit_for_bit(self, sign, temperature):
+        # one exp for the energy and its gradient gives the same bits as
+        # energies() plus a separate softmax; the large rows reach the clamp
+        rng = np.random.default_rng(11)
+        logits = rng.normal(scale=4.0, size=(64, 8))
+        logits[0] += 600.0
+        logits[1] -= 600.0
+        logits[2, 5] = 1e4
+        logits[3, 2] = -1e4
+        logits[4] = [30.0, -30.0] * 4
+        value, dlogits = nn.energy_bce_term(logits, sign, temperature)
+        want_value, want_dlogits = loss_oracles.energy_bce_term(logits, sign, temperature)
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        assert dlogits.tobytes() == want_dlogits.tobytes()
 
 
 class TestBackwardTrivial:

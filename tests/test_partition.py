@@ -34,6 +34,21 @@ def mixture_log_likelihood(x, means, variances, weights):
     return float(np.logaddexp(*per_comp).sum())
 
 
+#: mixed magnitudes, signed zeros and subnormals, small enough that no sum overflows
+SUM_ELEMENTS = st.one_of(st.floats(-1e300, 1e300), st.floats(-1.0, 1.0),
+                         st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]))
+
+
+class TestRowSums:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 300).flatmap(
+        lambda n: hnp.arrays(np.float64, (2, n), elements=SUM_ELEMENTS)))
+    def test_equals_running_sum_bit_for_bit(self, a):
+        got = partition._row_sums(a)
+        want = np.cumsum(a, axis=1)[:, -1]
+        assert got.tobytes() == want.tobytes(), (got, want)
+
+
 class TestFitGmm:
     def test_recovers_planted_means(self):
         gmm = partition.fit_gmm_1d(planted_mixture())
