@@ -18,8 +18,11 @@ as a code difference. One repeat measures, in this order:
   rows, 64 support rows and 64 outliers); `nn.ntxent_term` on 128 unit
   rows of width 32; `data.read_dataset_csv` of a 20k-row dataset CSV and
   `data.read_features_csv` of a 1k-row feature CSV (both 8 features,
-  written by the measured tree's own writers); `metrics.auroc` plus
-  `metrics.fpr_at_95_tpr` on 1000 ID against 1000 OOD scores.
+  written by the measured tree's own writers); `harness.ood_scores` of
+  two default-shaped nets on 20k rows; `metrics.auroc` plus
+  `metrics.fpr_at_95_tpr` on 1000 ID against 1000 OOD scores;
+- the `tracemalloc` peak (`peak_mb`, 10^6 bytes) of one more call of
+  `read_dataset_csv` and of `ood_scores`, after their timed rounds.
 
 Every time is also given relative to `perfbench/reference.py`'s fixed
 numpy kernel (`run_once()`), as perfbench's `wall_rel` is, measured next
@@ -28,9 +31,9 @@ to it so that host drift slows both alike: a run sits between
 `ROUNDS` rounds, each one kernel pass and then a batch of calls about as
 long; its ms and rel are the medians over the rounds.
 
-The file holds, per tree and entry, every repeat's ms and rel and their
-medians, and for each later tree the ratios of its median ms and median
-rel to the first tree's, minus one (`vs_first`). Measured against itself,
+The file holds, per tree and entry, every repeat's ms and rel (and
+peak_mb) and their medians, and for each later tree the ratios of its
+medians to the first tree's, minus one (`vs_first`). Measured against itself,
 a tree shows the tool's own noise there. Uses numpy and the standard
 library only.
 """
@@ -48,6 +51,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,6 +63,7 @@ NTXENT_ROWS, NTXENT_WIDTH = 128, 32
 ROUNDS = 9
 REFERENCE_PASSES = 2
 REPEATS = 15
+MEASURED = ("ms", "rel", "peak_mb")  # per-repeat values; any other entry key is a fixed fact
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -86,6 +91,16 @@ def _time_kernel(reference, call) -> tuple[dict, object]:
         ms.append(1e3 * per_call)
         rel.append(per_call / ref_s)
     return {"ms": statistics.median(ms), "rel": statistics.median(rel)}, result
+
+
+def _peak_mb(call) -> float:
+    """The tracemalloc peak of one call of call, in 10^6 bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def _time_run(reference, noisylab, **overrides) -> dict:
@@ -139,9 +154,20 @@ def _time_csv_read(reference, np, data, kind) -> dict:
         if kind == "dataset":
             data.write_dataset_csv(data.generate(data.SyntheticSpec(
                 n_samples=DATASET_ROWS, input_dim=8, seed=0)), path)
-            return _time_kernel(reference, lambda: data.read_dataset_csv(path))[0]
+            timing = _time_kernel(reference, lambda: data.read_dataset_csv(path))[0]
+            return {**timing, "peak_mb": _peak_mb(lambda: data.read_dataset_csv(path))}
         data.write_features_csv(np.random.default_rng(0).normal(size=(FEATURE_ROWS, 8)), path)
         return _time_kernel(reference, lambda: data.read_features_csv(path))[0]
+
+
+def _time_ood_scores(reference, np, noisylab, nn, harness) -> dict:
+    cfg = noisylab.RunConfig()
+    rng = np.random.default_rng(0)
+    nets = [nn.build_network(cfg.input_dim, cfg.n_classes, hidden=cfg.hidden_dims,
+                             projection_dim=cfg.projection_dim, rng=rng) for _ in range(2)]
+    inputs = rng.normal(size=(DATASET_ROWS, cfg.input_dim))
+    timing = _time_kernel(reference, lambda: harness.ood_scores(nets, inputs))[0]
+    return {**timing, "peak_mb": _peak_mb(lambda: harness.ood_scores(nets, inputs))}
 
 
 def _time_ood_metrics(reference, np, metrics) -> dict:
@@ -168,7 +194,7 @@ def _measure(src: Path) -> dict:
     import numpy as np
 
     import noisylab
-    from noisylab import data, metrics, nn, partition
+    from noisylab import data, harness, metrics, nn, partition
 
     if Path(noisylab.__file__).resolve().parent != src / "noisylab":
         raise SystemExit(f"imported noisylab from {noisylab.__file__}, not from {src}")
@@ -180,6 +206,7 @@ def _measure(src: Path) -> dict:
                "ntxent_term": _time_ntxent(ref, np, nn),
                "read_dataset_csv": _time_csv_read(ref, np, data, "dataset"),
                "read_features_csv": _time_csv_read(ref, np, data, "features"),
+               "ood_scores": _time_ood_scores(ref, np, noisylab, nn, harness),
                "auroc_fpr95": _time_ood_metrics(ref, np, metrics)}
     return {"environment": _environment(np), "entries": entries}
 
@@ -194,15 +221,16 @@ def _run_child(src: Path) -> dict:
 
 
 def _summarize(repeats: list[dict]) -> dict:
-    """Per entry: every repeat's ms and rel, their medians, and the entry's fixed facts."""
+    """Per entry: every repeat's MEASURED values, their medians, and the entry's fixed facts."""
     out = {}
     for name in repeats[0]["entries"]:
         values = [r["entries"][name] for r in repeats]
-        entry = {"ms": [v["ms"] for v in values], "rel": [v["rel"] for v in values]}
-        entry["median_ms"] = statistics.median(entry["ms"])
-        entry["median_rel"] = statistics.median(entry["rel"])
+        entry = {}
         for key in values[0]:
-            if key not in ("ms", "rel"):
+            if key in MEASURED:
+                entry[key] = [v[key] for v in values]
+                entry[f"median_{key}"] = statistics.median(entry[key])
+            else:
                 facts = {v[key] for v in values}
                 if len(facts) != 1:
                     raise SystemExit(f"{name}.{key} changed between repeats: {sorted(facts)}")
@@ -250,16 +278,18 @@ def main(argv=None) -> int:
              "order": order, "runs": runs,
              "vs_first": {label: {name: {key: entry[f"median_{key}"]
                                          / base[name][f"median_{key}"] - 1.0
-                                         for key in ("ms", "rel")}
+                                         for key in MEASURED if key in entry}
                                   for name, entry in runs[label].items()}
                           for label in labels[1:]}}
     Path(args.out).write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
     for label in labels:
-        print(f"{label}: " + ", ".join(f"{name} {e['median_ms']:.3f} ms ({e['median_rel']:.4g} ref)"
-                                       for name, e in runs[label].items()))
+        print(f"{label}: " + ", ".join(
+            f"{name} {e['median_ms']:.3f} ms ({e['median_rel']:.4g} ref"
+            + (f", peak {e['median_peak_mb']:.2f} MB)" if "peak_mb" in e else ")")
+            for name, e in runs[label].items()))
     for label, diffs in bench["vs_first"].items():
-        print(f"{label} vs {labels[0]} (ms, rel): "
-              + ", ".join(f"{name} {100 * d['ms']:+.1f}% {100 * d['rel']:+.1f}%"
+        print(f"{label} vs {labels[0]} (ms, rel[, peak_mb]): "
+              + ", ".join(f"{name} " + " ".join(f"{100 * d[key]:+.1f}%" for key in d)
                           for name, d in diffs.items()))
     return 0
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .data import GENERATORS, NOISE_MODES
-from .errors import ConfigError
+from .errors import ConfigError, undecodable
 from .geometry import SAMPLERS
 
 
@@ -194,6 +194,8 @@ class RunConfig:
                 raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise undecodable(path, exc) from exc
         if not isinstance(raw, dict):
             raise ConfigError("config document must be a JSON object")
         return cls.from_dict(raw)

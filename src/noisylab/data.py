@@ -8,14 +8,13 @@ receives the full dataset, training code receives the view.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, undecodable
 
 GENERATORS = ("gaussian-blobs", "two-moons-kd", "ring-classes")
 NOISE_MODES = ("symmetric", "asymmetric")
@@ -277,30 +276,47 @@ def _read_csv(path, lead: tuple, int_lead: bool) -> list:
     """The `lead` columns and the (n, width) feature matrix, each C-contiguous.
 
     The header is split with `csv` and gives the width; numpy's C reader
-    parses the body once. Cells are comma-separated, optionally in double
-    quotes; lead cells are 64-bit integers if `int_lead`, else ignored text;
-    features must be finite. numpy skips blank lines, so a row count other
-    than the line count means one. A bad body goes to `_bad_line_error`.
+    parses the body straight from the open file, one line at a time, so
+    no copy of the text is held. Cells are comma-separated, optionally in
+    double quotes; lead cells are 64-bit integers if `int_lead`, else
+    ignored text; features must be finite. numpy skips blank lines, so a
+    row count other than the line count means one. A bad body goes to
+    `_bad_line_error`; bytes that do not decode, to a ConfigError naming
+    the file.
     """
+    try:
+        return _parse_csv(path, lead, int_lead)
+    except UnicodeDecodeError as exc:
+        raise undecodable(path, exc) from exc
+
+
+def _parse_csv(path, lead: tuple, int_lead: bool) -> list:
     with open(path) as fh:  # universal newlines: \r\n and \r end a line as \n does
         header = next(csv.reader([fh.readline()]), [])
-        body = fh.read()
-    if tuple(header[:len(lead)]) != lead:
-        kind = "dataset" if int_lead else "feature"
-        raise ConfigError(f"unexpected {kind} header in {path}")
-    width = len(header) - len(lead)
-    if not body:
+        if tuple(header[:len(lead)]) != lead:
+            kind = "dataset" if int_lead else "feature"
+            raise ConfigError(f"unexpected {kind} header in {path}")
+        width = len(header) - len(lead)
+        dtype = ([(name, np.int64 if int_lead else "U0") for name in lead]
+                 + [("features", np.float64, (width,))])
+        n_lines = 0
+
+        def body():
+            nonlocal n_lines
+            for n_lines, line in enumerate(fh, 1):
+                yield line
+
+        try:
+            with warnings.catch_warnings():  # numpy warns when every line is blank
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(body(), dtype=dtype, delimiter=",",
+                                   comments=None, quotechar='"', ndmin=1)
+        except UnicodeDecodeError:
+            raise
+        except ValueError as exc:
+            raise _bad_line_error(path, len(lead), int_lead, width, str(exc)) from exc
+    if not n_lines:
         raise ConfigError(f"{path} holds no data rows")
-    dtype = ([(name, np.int64 if int_lead else "U0") for name in lead]
-             + [("features", np.float64, (width,))])
-    try:
-        with warnings.catch_warnings():  # numpy warns when every line is blank
-            warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",",
-                               comments=None, quotechar='"', ndmin=1)
-    except ValueError as exc:
-        raise _bad_line_error(path, len(lead), int_lead, width, str(exc)) from exc
-    n_lines = body.count("\n") + (not body.endswith("\n"))
     if len(table) != n_lines or not np.isfinite(table["features"]).all():
         raise _bad_line_error(path, len(lead), int_lead, width,
                               f"{len(table)} rows read from {n_lines} lines")

@@ -31,3 +31,9 @@ class TrainingError(NoisylabError, RuntimeError):
 
 class EmptySupportError(NoisylabError):
     """The support set is empty; geometry must be skipped this epoch."""
+
+
+def undecodable(path, exc: UnicodeDecodeError) -> ConfigError:
+    """ConfigError naming a file whose bytes do not decode as text."""
+    return ConfigError(f"{path} is not {exc.encoding} text: {exc.reason} "
+                       f"(byte {exc.object[exc.start]:#04x})")

@@ -240,7 +240,8 @@ def soft_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
     """-sum_k t_k log p_k averaged over rows (soft-target variant)."""
     probs = np.atleast_2d(probs)
     targets = np.atleast_2d(targets)
-    return float(-(targets * np.log(np.maximum(probs, CE_EPS))).sum(axis=1).mean())
+    rows = (targets * np.log(np.maximum(probs, CE_EPS))).sum(axis=1)
+    return float(-(np.add.reduce(rows) / len(rows)))
 
 
 def _energy_parts(logits: np.ndarray, temperature: float):
@@ -357,13 +358,15 @@ def _softmax_chain(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
 # Each term returns (value, gradient). Terms on softmax probabilities
 # return the gradient w.r.t. the logits those probabilities came from;
 # NT-Xent returns it w.r.t. the unit projections, energy BCE w.r.t. the
-# logits it is given.
+# logits it is given. Means are taken as `np.add.reduce(x) / n`: the
+# reduction and division that `ndarray.mean` runs, without its Python
+# wrapper, so the bits are the same.
 
 
 def gce_term(probs: np.ndarray, y: np.ndarray, q: float):
     """Mean generalized cross entropy over the batch."""
-    value = float(gce_losses(probs, y, q).mean())
     n = len(y)
+    value = float(np.add.reduce(gce_losses(probs, y, q)) / n)
     p_y = probs[np.arange(n), y]
     dlogits = probs * (p_y ** q)[:, None]
     dlogits[np.arange(n), y] -= p_y ** q
@@ -383,7 +386,7 @@ def mse_term(probs: np.ndarray, targets: np.ndarray):
     semi-supervised consistency term.
     """
     n, k = probs.shape
-    value = float(((probs - targets) ** 2).sum(axis=1).mean() / k)
+    value = float(np.add.reduce(((probs - targets) ** 2).sum(axis=1)) / n / k)
     dprobs = 2.0 * (probs - targets) / (n * k)
     return value, _softmax_chain(probs, dprobs)
 
@@ -391,7 +394,7 @@ def mse_term(probs: np.ndarray, targets: np.ndarray):
 def prior_kl_term(probs: np.ndarray):
     """KL(uniform prior || batch-mean prediction)."""
     n, k = probs.shape
-    pbar = probs.mean(axis=0)
+    pbar = np.add.reduce(probs, 0) / n
     prior = 1.0 / k
     value = float((prior * np.log(prior / pbar)).sum())
     dprobs = np.tile(-prior / (n * pbar), (n, 1))
@@ -419,7 +422,7 @@ def ntxent_term(z: np.ndarray, temperature: float):
     dsims /= denom  # row-stochastic attention, zero diagonal
     pos = np.arange(m) ^ 1  # partner index within each pair
     log_denom = np.log(denom[:, 0]) + row_max[:, 0]
-    value = float((-sims[np.arange(m), pos] + log_denom).mean())
+    value = float(np.add.reduce(-sims[np.arange(m), pos] + log_denom) / m)
     dsims /= m
     dsims[np.arange(m), pos] -= 1.0 / m
     dz = (dsims + dsims.T) @ z
@@ -439,7 +442,7 @@ def energy_bce_term(logits: np.ndarray, sign: float, temperature: float):
     d_e = sign * _sigmoid(sign * e) * (raw < ENERGY_BCE_CAP) / len(e)
     # dE/dlogits = -softmax(logits / T), row-wise
     exps /= sums[:, None]
-    return float(clipped.mean()), d_e[:, None] * -exps
+    return float(np.add.reduce(clipped) / len(e)), d_e[:, None] * -exps
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import csv_oracle
@@ -218,10 +219,15 @@ class TestCsvRoundTrip:
         ("id,f0,f1\n0,1.0,2.0\n1,1.0\n", "line 3"),
         ("id,f0,f1\n", "no data rows"),
         ("", "unexpected feature header"),
-    ], ids=["non-numeric", "ragged", "header-only", "empty"])
+        (b"id,f\xff0\n0,1.0\n", "is not utf-8 text: invalid start byte \\(byte 0xff\\)"),
+        (b"id,f0\n0,\xff1.0\n", "is not utf-8 text"),
+        # the header decodes alone; the bad byte lies in a later chunk of the body
+        (b"id,f0\n" + b"0,1.0\n" * 5000 + b"1,\xff1.0\n", "is not utf-8 text"),
+    ], ids=["non-numeric", "ragged", "header-only", "empty", "undecodable-header",
+            "undecodable-cell", "undecodable-past-first-chunk"])
     def test_malformed_features_raise_config_error(self, tmp_path, body, where):
         path = tmp_path / "bad.csv"
-        path.write_text(body)
+        path.write_bytes(body.encode() if isinstance(body, str) else body)
         with pytest.raises(ConfigError, match=where):
             data.read_features_csv(path)
 
@@ -230,6 +236,25 @@ class TestCsvRoundTrip:
         path.write_text("id,true_label,noisy_label,f0\n0,1,1,0.5\n1,x,1,0.5\n")
         with pytest.raises(ConfigError, match="line 3"):
             data.read_dataset_csv(path)
+
+
+class TestCsvReaderMemory:
+    def test_peak_is_near_the_returned_arrays(self, tmp_path):
+        # the body is parsed as it streams from the file: no copy of its text
+        # is held, so the peak is the parsed table plus its column copies
+        path = tmp_path / "train.csv"
+        data.write_dataset_csv(data.generate(data.SyntheticSpec(n_samples=20_000, seed=0)),
+                               path)
+        tracemalloc.start()
+        try:
+            back = data.read_dataset_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(a.nbytes for a in (back.ids, back.true_labels, back.noisy_labels,
+                                        back.features))
+        assert len(back.ids) == 20_000
+        assert peak <= 3 * nbytes, (peak, nbytes)
 
 
 # cells that neither Python's int()/float() nor numpy's reader take as a number

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,9 @@ import noisylab
 from noisylab import RunConfig, data, nn, run_experiment
 from noisylab.cli import main as cli_main
 from noisylab.errors import ConfigError
-from noisylab.harness import (REPORT_SCHEMA, Experiment, build_datasets, evaluate_ood,
-                              load_model, mean_of_net_rows, ood_scores, save_model)
+from noisylab.harness import (REPORT_SCHEMA, SCORE_BLOCK_ROWS, Experiment, build_datasets,
+                              evaluate_ood, load_model, mean_of_net_rows, ood_scores,
+                              save_model)
 
 SMOKE = dict(n_train=300, n_test=150, warmup_epochs=2, total_epochs=5,
              hidden_dims=(16, 8), ood_n=100, window=2)
@@ -338,6 +340,47 @@ class TestModelPersistence:
         assert 0.0 <= out["auroc"] <= 1.0 and 0.0 <= out["fpr95"] <= 1.0
 
 
+class TestBlockedScores:
+    """`ood_scores` runs the nets on row blocks; the scores are an unblocked pass's."""
+
+    @staticmethod
+    def _unblocked(nets, x, temperature):
+        return -np.mean([nn.energies(nn.predict_logits(net, x), temperature)
+                         for net in nets], axis=0)
+
+    @pytest.mark.parametrize("rows", [1, SCORE_BLOCK_ROWS - 1, SCORE_BLOCK_ROWS,
+                                      2 * SCORE_BLOCK_ROWS - 1, 2 * SCORE_BLOCK_ROWS,
+                                      2 * SCORE_BLOCK_ROWS + 1, 3 * SCORE_BLOCK_ROWS + 1])
+    def test_equal_to_one_pass_bit_for_bit(self, rows):
+        rng = np.random.default_rng(rows)
+        for _ in range(4):
+            d, k = int(rng.integers(2, 10)), int(rng.integers(2, 6))
+            hidden = tuple(int(h) for h in rng.integers(2, 65, size=rng.integers(1, 3)))
+            nets = [nn.build_network(d, k, hidden=hidden, projection_dim=4, rng=rng)
+                    for _ in range(2)]
+            x = rng.normal(scale=3.0, size=(rows, d))
+            temperature = float(rng.choice([0.5, 1.0, 2.0]))
+            got = ood_scores(nets, x, temperature)
+            want = self._unblocked(nets, x, temperature)
+            assert got.tobytes() == want.tobytes(), (d, k, hidden, temperature)
+
+    def test_peak_memory_is_one_block(self):
+        cfg = RunConfig()
+        rng = np.random.default_rng(0)
+        nets = [nn.build_network(cfg.input_dim, cfg.n_classes, hidden=cfg.hidden_dims,
+                                 projection_dim=cfg.projection_dim, rng=rng)
+                for _ in range(2)]
+        x = rng.normal(size=(20_000, cfg.input_dim))
+        tracemalloc.start()
+        try:
+            scores = ood_scores(nets, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(scores) == 20_000
+        assert peak < 5e6, peak  # an unblocked pass holds every row's 64-wide layers
+
+
 class TestBuildDatasets:
     def test_shapes_and_determinism(self):
         cfg = RunConfig(seed=12, **SMOKE)
@@ -437,14 +480,15 @@ class TestCli:
                                       '{"hidden_dims": [1.7, true]}',
                                       '{"separation": 1e308}', '{"ood_far_gap": 1e308}',
                                       '{"n_train": 1e30}', '{"n_test": 1e30}',
-                                      '{"ood_n": 1e19}', '{"input_dim": 100000000000}'],
+                                      '{"ood_n": 1e19}', '{"input_dim": 100000000000}',
+                                      b'{"sampler": "gaussian\xff"}'],
                              ids=["inf-separation", "inf-ood-far-gap", "inf-n-train",
                                   "boolean-lr", "mistyped-hidden-dims", "huge-separation",
                                   "huge-ood-far-gap", "huge-n-train", "huge-n-test",
-                                  "huge-ood-n", "huge-input-dim"])
+                                  "huge-ood-n", "huge-input-dim", "undecodable-byte"])
     def test_bad_number_in_config_exit_code(self, tmp_path, capsys, body):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(body)
+        cfg.write_bytes(body.encode() if isinstance(body, str) else body)
         capsys.readouterr()
         assert cli_main(["train", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
@@ -456,10 +500,12 @@ class TestCli:
         FEATURE_HEADER,
         FEATURE_HEADER + "0,nan" + ",1.0" * (INPUT_DIM - 1) + "\n",
         FEATURE_HEADER + "0" + ",1.0" * (INPUT_DIM - 1) + ",-inf\n",
-    ], ids=["narrower-than-nets", "non-numeric", "header-only", "nan-cell", "inf-cell"])
+        FEATURE_HEADER.encode() + b"0,\xff1.0" + b",1.0" * (INPUT_DIM - 1) + b"\n",
+    ], ids=["narrower-than-nets", "non-numeric", "header-only", "nan-cell", "inf-cell",
+            "undecodable-byte"])
     def test_malformed_ood_csv_exit_code(self, saved_run, tmp_path, capsys, body):
         path = tmp_path / "ood.csv"
-        path.write_text(body)
+        path.write_bytes(body.encode() if isinstance(body, str) else body)
         capsys.readouterr()
         rc = cli_main(["ood-eval", "--run-dir", str(saved_run), "--ood-csv", str(path)])
         err = capsys.readouterr().err
