@@ -108,7 +108,7 @@ class RunConfig:
 
     def validate(self) -> None:
         checks = [
-            (self.seed >= 0, "seed must be nonnegative"),
+            (0 <= self.seed < 2 ** 63, "seed must lie in [0, 2**63)"),
             (self.generator in GENERATORS, f"generator must be one of {GENERATORS}"),
             (self.noise_mode in NOISE_MODES, f"noise_mode must be one of {NOISE_MODES}"),
             (self.sampler in SAMPLERS, f"sampler must be one of {SAMPLERS}"),

@@ -1,0 +1,69 @@
+"""benchmarks/bench.py's loader: every source tree is its own package in one interpreter."""
+
+import importlib.util
+import os
+import shutil
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+def _environ() -> dict:
+    """os.environ without the variable pytest itself rewrites in each test phase."""
+    return {k: v for k, v in os.environ.items() if k != "PYTEST_CURRENT_TEST"}
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("bench_tool", ROOT / "benchmarks" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    environ = _environ()
+    spec.loader.exec_module(module)
+    assert _environ() == environ  # the thread pins wait for main()
+    return module
+
+
+@pytest.fixture
+def clean_process():
+    """Asserts that the test leaves os.environ as it was; drops the trees it loaded."""
+    environ = _environ()
+    yield
+    for name in [n for n in sys.modules if n.startswith("noisylab@")]:
+        del sys.modules[name]
+    assert _environ() == environ
+
+
+def test_two_labels_on_one_tree_are_two_packages(bench, clean_process):
+    a, b = bench.load_tree("a", SRC), bench.load_tree("b", SRC)
+    assert a is not b and a.__name__ == "noisylab@a" and b.__name__ == "noisylab@b"
+    assert a.nn is not b.nn
+    assert a.harness.nn is a.nn and b.harness.nn is b.nn
+    assert a.nn.DenseNet is not b.nn.DenseNet
+
+
+def test_a_patched_copy_changes_only_its_own_label(bench, clean_process, tmp_path):
+    shutil.copytree(SRC / "noisylab", tmp_path / "noisylab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "noisylab" / "nn.py", "a") as fh:
+        fh.write("\n\ndef ntxent_term(z, temperature):\n    return 'sentinel'\n")
+    real, patched = bench.load_tree("real", SRC), bench.load_tree("patched", tmp_path)
+    z = np.random.default_rng(0).normal(size=(8, 4))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    assert patched.nn.ntxent_term(z, 0.5) == "sentinel"
+    assert sys.modules["noisylab@patched.nn"].ntxent_term(z, 0.5) == "sentinel"
+    value, grad = real.nn.ntxent_term(z, 0.5)
+    assert np.isfinite(value) and grad.shape == z.shape
+
+
+def test_a_directory_without_the_package_is_one_line(bench, clean_process, tmp_path):
+    (tmp_path / "noisylab").mkdir()
+    with pytest.raises(SystemExit) as exc:
+        bench.load_tree("empty", tmp_path)
+    message = str(exc.value.code)
+    assert "empty" in message and str(tmp_path) in message and "\n" not in message
+    assert "noisylab@empty" not in sys.modules

@@ -552,17 +552,17 @@ class TestCli:
         ["ablate", "--grid", "vos", "--seeds", "a"],
         ["ablate", "--grid", "vos", "--seeds", "1,-2"],
         ["ablate", "--grid", "vos", "--seeds", ","],
+        ["train", "--seed", str(2 ** 63)],
+        ["ablate", "--grid", "vos", "--seeds", f"1,{2 ** 63}"],
     ], ids=["train-negative-seed", "ablate-non-integer-seeds", "ablate-negative-seed",
-            "ablate-no-seeds"])
+            "ablate-no-seeds", "train-seed-beyond-int64", "ablate-seed-beyond-int64"])
     def test_bad_seed_exit_code(self, tmp_path, capsys, argv):
-        if argv[0] == "ablate":
-            argv = argv + ["--out-dir", str(tmp_path / "ab")]
         capsys.readouterr()
-        rc = cli_main(argv)
+        rc = cli_main(argv + ["--out-dir", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("config error: ") and err.count("\n") == 1, err
-        assert not (tmp_path / "ab").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_io_error_exit_code(self, tmp_path):
         assert cli_main(["ood-eval", "--run-dir", str(tmp_path / "missing"),
