@@ -33,9 +33,9 @@ def _load_config(path, seed=None) -> RunConfig:
 
 def _cmd_gen_data(args) -> int:
     config = _load_config(args.config, args.seed)
+    train, test, ood_far, ood_near = build_datasets(config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train, test, ood_far, ood_near = build_datasets(config)
     data_mod.write_dataset_csv(train, out / "train.csv")
     data_mod.write_dataset_csv(test, out / "test.csv")
     data_mod.write_features_csv(ood_far, out / "ood_far.csv")

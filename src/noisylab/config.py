@@ -116,6 +116,10 @@ class RunConfig:
             (self.n_test >= self.n_classes, "n_test must cover every class"),
             (self.n_classes >= 2, "need at least two classes"),
             (self.input_dim >= 2, "input_dim must be >= 2"),
+            (self.generator != "two-moons-kd" or self.n_classes == 2,
+             "two-moons-kd is a two-class generator"),
+            (self.generator != "gaussian-blobs" or self.n_classes <= 2 * self.input_dim,
+             "gaussian-blobs supports at most 2 * input_dim classes"),
             (self.separation > 0, "separation must be positive"),
             (0.0 <= self.noise_rate < 1.0, "noise_rate must lie in [0, 1)"),
             (len(self.hidden_dims) >= 1 and all(h >= 1 for h in self.hidden_dims),

@@ -39,10 +39,6 @@ class Envelope:
         """Sum of log edge lengths; zero-width edges are floored."""
         return float(np.log(np.maximum(self.edge_lengths, floor)).sum())
 
-    def contains(self, points: np.ndarray, atol: float = 0.0) -> np.ndarray:
-        points = np.atleast_2d(points)
-        return ((points >= self.low - atol) & (points <= self.high + atol)).all(axis=1)
-
 
 @dataclass
 class CentroidSet:

@@ -80,6 +80,26 @@ def _view_predictions(net, block: np.ndarray, n_views: int) -> list[np.ndarray]:
     return [probs[i * rows:(i + 1) * rows] for i in range(n_views)]
 
 
+@contextmanager
+def _within_numpy_limits():
+    """Run a block whose arrays the config sizes and scales: overflow to inf
+    (FloatingPointError, OverflowError), numpy's array dimension limit
+    (ValueError) or an allocation that cannot succeed becomes a ConfigError."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except NoisylabError:
+        raise
+    except (ArithmeticError, ValueError, MemoryError) as exc:
+        raise _beyond_limits(exc) from exc
+
+
+def _beyond_limits(exc: Exception) -> ConfigError:
+    # a MemoryError that Python raises (e.g. for a list) carries no message
+    return ConfigError(f"the config's sizes or scales exceed numpy's limits: "
+                       f"{str(exc) or 'out of memory'}")
+
+
 def build_datasets(config: RunConfig):
     """Train (noisy), test (clean), and the two OOD input sets.
 
@@ -91,27 +111,20 @@ def build_datasets(config: RunConfig):
         generator=config.generator, n_samples=config.n_train, n_classes=config.n_classes,
         input_dim=config.input_dim, separation=config.separation,
         seed=child_seed(seed, _STREAM_TAGS["data"]))
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            clean_train = data_mod.generate(train_spec)
-            test_set = data_mod.generate_test_split(
-                train_spec, config.n_test, child_seed(seed, _STREAM_TAGS["test_data"]))
-            noisy_train = data_mod.inject_noise(
-                clean_train, data_mod.NoiseSpec(mode=config.noise_mode, rate=config.noise_rate,
-                                                seed=child_seed(seed, _STREAM_TAGS["noise"])))
-            ood_far = data_mod.generate_ood(
-                data_mod.OodSpec("far", config.ood_n, child_seed(seed, _STREAM_TAGS["ood_far"]),
-                                 far_gap=config.ood_far_gap), clean_train)
-            ood_near = data_mod.generate_ood(
-                data_mod.OodSpec("near", config.ood_n, child_seed(seed, _STREAM_TAGS["ood_near"]),
-                                 near_radius_factor=config.ood_near_radius_factor,
-                                 near_spread=config.ood_near_spread), clean_train)
-    except NoisylabError:
-        raise
-    except (ArithmeticError, ValueError, MemoryError) as exc:
-        # overflow to inf (FloatingPointError, OverflowError), numpy's array
-        # dimension limit (ValueError) or an allocation that cannot succeed
-        raise ConfigError(f"the config's sizes or scales exceed numpy's limits: {exc}") from exc
+    with _within_numpy_limits():
+        clean_train = data_mod.generate(train_spec)
+        test_set = data_mod.generate_test_split(
+            train_spec, config.n_test, child_seed(seed, _STREAM_TAGS["test_data"]))
+        noisy_train = data_mod.inject_noise(
+            clean_train, data_mod.NoiseSpec(mode=config.noise_mode, rate=config.noise_rate,
+                                            seed=child_seed(seed, _STREAM_TAGS["noise"])))
+        ood_far = data_mod.generate_ood(
+            data_mod.OodSpec("far", config.ood_n, child_seed(seed, _STREAM_TAGS["ood_far"]),
+                             far_gap=config.ood_far_gap), clean_train)
+        ood_near = data_mod.generate_ood(
+            data_mod.OodSpec("near", config.ood_n, child_seed(seed, _STREAM_TAGS["ood_near"]),
+                             near_radius_factor=config.ood_near_radius_factor,
+                             near_spread=config.ood_near_spread), clean_train)
     return noisy_train, test_set, ood_far, ood_near
 
 
@@ -334,11 +347,12 @@ class Experiment:
         self.view = self.dataset.train_view()
         self.feature_std = self.view.features.std(axis=0)
         self.n_nets = 1 if config.single_network else 2
-        self.nets = [nn.build_network(config.input_dim, config.n_classes,
-                                      hidden=config.hidden_dims,
-                                      projection_dim=config.projection_dim,
-                                      rng=make_stream(config.seed, f"init{k}"))
-                     for k in range(self.n_nets)]
+        with _within_numpy_limits():
+            self.nets = [nn.build_network(config.input_dim, config.n_classes,
+                                          hidden=config.hidden_dims,
+                                          projection_dim=config.projection_dim,
+                                          rng=make_stream(config.seed, f"init{k}"))
+                         for k in range(self.n_nets)]
         self.opt_states = [None] * self.n_nets
         self.sel_states = [partition.SelectionState(config.n_train, config.window)
                            for _ in range(self.n_nets)]
@@ -622,6 +636,8 @@ class Experiment:
             if self.out_dir is not None:
                 self._write_outputs()
             raise
+        except MemoryError as exc:  # batches or candidates that n_aug or n_cand_* size
+            raise _beyond_limits(exc) from exc
         self.report.wall_clock_seconds = time.time() - started
         if self.out_dir is not None:
             self._write_outputs()

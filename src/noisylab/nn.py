@@ -280,7 +280,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GradientBundle:
-    """Per-parameter gradients mirroring a DenseNet."""
+    """Per-parameter arrays mirroring a DenseNet: its gradients, or its SGD velocities."""
 
     d_weights: list[np.ndarray]
     d_bias: list[np.ndarray]
@@ -583,26 +583,15 @@ def total_loss_and_grads(net: DenseNet, batch: TotalLossBatch):
 # optimizer
 
 
-@dataclass
-class SgdState:
-    v_weights: list[np.ndarray]
-    v_bias: list[np.ndarray]
-
-    @classmethod
-    def zeros(cls, net: DenseNet) -> "SgdState":
-        return cls([np.zeros_like(l.weights) for l in net.layers],
-                   [np.zeros_like(l.bias) for l in net.layers])
-
-
 def sgd_step(net: DenseNet, grads: GradientBundle, lr: float, weight_decay: float = 0.0,
-             momentum: float = 0.0, state: SgdState | None = None) -> SgdState:
-    """In-place momentum SGD update; returns the (possibly fresh) velocity state."""
+             momentum: float = 0.0, state: GradientBundle | None = None) -> GradientBundle:
+    """In-place momentum SGD update; returns the (possibly fresh) velocities."""
     if lr <= 0:
         raise ParameterError(f"learning rate must be positive, got {lr}")
     if state is None:
-        state = SgdState.zeros(net)
+        state = GradientBundle.zeros(net)
     for layer, dw, db, vw, vb in zip(net.layers, grads.d_weights, grads.d_bias,
-                                     state.v_weights, state.v_bias):
+                                     state.d_weights, state.d_bias):
         gw = dw + weight_decay * layer.weights
         gb = db + weight_decay * layer.bias
         vw *= momentum

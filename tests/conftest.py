@@ -1,8 +1,15 @@
-import time
+import os
 
-import pytest
+# one BLAS thread, as perfbench and bench.py use: set before anything loads numpy,
+# since OpenBLAS reads it only then. A second thread costs a core and slows a run.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from noisylab import RunConfig, run_experiment
+import time  # noqa: E402
+
+import pytest  # noqa: E402
+
+from noisylab import RunConfig, run_experiment  # noqa: E402
 
 
 class RunCache:

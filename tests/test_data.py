@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisylab import data
+from noisylab.config import RunConfig
 from noisylab.errors import ConfigError
 
 
@@ -54,15 +55,17 @@ class TestGenerate:
         assert np.isfinite(ds.features).all()
         assert ds.features.shape == (120, 6)
 
+    # The specs carry no checks of their own: RunConfig, their only builder's
+    # source, rejects what a generator cannot honour before any data is drawn.
     def test_moons_requires_two_classes(self):
-        with pytest.raises(ConfigError):
-            data.SyntheticSpec(generator="two-moons-kd", n_classes=3)
+        with pytest.raises(ConfigError, match="two-moons-kd is a two-class generator"):
+            RunConfig.from_dict({"generator": "two-moons-kd", "n_classes": 3})
 
     def test_invalid_spec_fields(self):
-        with pytest.raises(ConfigError):
-            data.SyntheticSpec(generator="spirals")
-        with pytest.raises(ConfigError):
-            data.SyntheticSpec(n_samples=2, n_classes=4)
+        with pytest.raises(ConfigError, match="generator must be one of"):
+            RunConfig.from_dict({"generator": "spirals"})
+        with pytest.raises(ConfigError, match="n_train must cover every class"):
+            RunConfig.from_dict({"n_train": 2, "n_classes": 4})
 
 
 def _blob_test_split(train_spec, n_samples, seed):
@@ -135,8 +138,8 @@ class TestInjectNoise:
         assert np.array_equal(noisy.true_labels, ds.true_labels)
 
     def test_invalid_rate(self):
-        with pytest.raises(ConfigError):
-            data.NoiseSpec(rate=1.0)
+        with pytest.raises(ConfigError, match=r"noise_rate must lie in \[0, 1\)"):
+            RunConfig.from_dict({"noise_rate": 1.0})
 
 
 class TestTrainViewFirewall:
@@ -181,10 +184,6 @@ class TestGenerateOod:
         ds = self._ds()
         spec = data.OodSpec(regime="near", n_samples=100, seed=3)
         assert np.array_equal(data.generate_ood(spec, ds), data.generate_ood(spec, ds))
-
-    def test_invalid_regime(self):
-        with pytest.raises(ConfigError):
-            data.OodSpec(regime="medium")
 
 
 class TestCsvRoundTrip:

@@ -1,6 +1,7 @@
 """Configuration, orchestration, reports, persistence, and the CLI."""
 
 import dataclasses
+import itertools
 import json
 import os
 import shutil
@@ -16,7 +17,7 @@ import batch_oracle
 import noisylab
 from noisylab import RunConfig, data, nn, run_experiment
 from noisylab.cli import main as cli_main
-from noisylab.errors import ConfigError
+from noisylab.errors import ConfigError, ParameterError
 from noisylab.harness import (REPORT_SCHEMA, SCORE_BLOCK_ROWS, Experiment, build_datasets,
                               evaluate_ood, load_model, mean_of_net_rows, ood_scores,
                               save_model)
@@ -25,6 +26,7 @@ SMOKE = dict(n_train=300, n_test=150, warmup_epochs=2, total_epochs=5,
              hidden_dims=(16, 8), ood_n=100, window=2)
 INPUT_DIM = RunConfig().input_dim
 FEATURE_HEADER = "id," + ",".join(f"f{j}" for j in range(INPUT_DIM)) + "\n"
+TINY_RUN = dict(n_train=200, n_test=60, ood_n=40, warmup_epochs=1, total_epochs=3)
 
 
 def widened(net):
@@ -63,10 +65,16 @@ class TestConfig:
                            ("separation", float("inf")), ("ood_far_gap", float("inf")),
                            ("lr", float("nan")), ("n_train", float("inf")),
                            ("n_train", float("nan")), ("weak_jitter", 10 ** 400),
-                           ("n_test", 3), ("n_train", 2 ** 63), ("seed", 1e19)]:
+                           ("n_test", 3), ("n_train", 2 ** 63), ("seed", 1e19),
+                           ("generator", "spirals"), ("n_train", 3), ("noise_rate", 1.0)]:
             base = {"warmup_epochs": 5} if key == "total_epochs" else {}
             with pytest.raises(ConfigError):
                 RunConfig.from_dict({key: value, **base})
+        # the generators' own limits
+        with pytest.raises(ConfigError, match="two-moons-kd is a two-class generator"):
+            RunConfig.from_dict({"generator": "two-moons-kd", "n_classes": 3})
+        with pytest.raises(ConfigError, match=r"at most 2 \* input_dim classes"):
+            RunConfig.from_dict({"n_classes": 17, "input_dim": 8})
 
     def test_type_mismatch_rejected(self):
         for key, value in [("batch_size", 64.5), ("disable_vos", "yes"), ("lr", True),
@@ -396,6 +404,29 @@ class TestBuildDatasets:
         train, *_ = build_datasets(cfg)
         assert abs((train.noisy_labels != train.true_labels).mean() - 0.4) < 0.03
 
+    def test_every_accepted_config_builds(self):
+        # 1,152 small configs across the dataset keys: RunConfig is the only check of
+        # them, so whatever it accepts must build without a ConfigError
+        keys = ("generator", "n_classes", "input_dim", "n_train", "ood_n", "noise_mode",
+                "separation")
+        failures = []
+        for values in itertools.product(data.GENERATORS, range(2, 10), range(2, 5), (12, 40),
+                                        (1, 7), data.NOISE_MODES, (0.01, 3.0)):
+            raw = dict(zip(keys, values), n_test=values[3])
+            try:
+                config = RunConfig.from_dict(raw)
+            except ConfigError:
+                continue
+            try:
+                build_datasets(config)
+            except ConfigError as exc:
+                failures.append((raw, str(exc)))
+            except ParameterError as exc:
+                # a class mean inside the hull of the others (rings all share one,
+                # near the origin) has no far point it is nearest to
+                assert str(exc) == "could not place a near-OOD center", raw
+        assert not failures, failures
+
 
 class TestCli:
     def test_gen_data_writes_csvs(self, tmp_path, capsys):
@@ -407,6 +438,33 @@ class TestCli:
             assert (tmp_path / "d" / name).exists()
         back = data.read_dataset_csv(tmp_path / "d" / "train.csv")
         assert len(back.ids) == 50
+
+    def test_gen_data_writes_nothing_when_datasets_fail(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"separation": 1e308}))
+        capsys.readouterr()
+        assert cli_main(["gen-data", "--config", str(cfg), "--out-dir", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "ablate"])
+    @pytest.mark.parametrize("body", [{"generator": "two-moons-kd", "n_classes": 3},
+                                      {"n_classes": 5, "input_dim": 2}],
+                             ids=["moons-3-classes", "blobs-5-classes-2-dims"])
+    def test_generator_limits_rejected_before_any_output(self, tmp_path, capsys, command,
+                                                         body):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out-dir", str(out)]
+        if command == "ablate":
+            argv += ["--grid", "vos", "--seeds", "1"]
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
     def test_train_and_ood_eval_pipeline(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -481,11 +539,23 @@ class TestCli:
                                       '{"separation": 1e308}', '{"ood_far_gap": 1e308}',
                                       '{"n_train": 1e30}', '{"n_test": 1e30}',
                                       '{"ood_n": 1e19}', '{"input_dim": 100000000000}',
-                                      b'{"sampler": "gaussian\xff"}'],
+                                      b'{"sampler": "gaussian\xff"}',
+                                      # sizes numpy refuses at once: TiB or beyond int64 bytes
+                                      '{"projection_dim": 100000000000}',
+                                      '{"hidden_dims": [100000000000]}',
+                                      '{"projection_dim": 4611686018427387904}',
+                                      '{"hidden_dims": [4611686018427387904]}',
+                                      json.dumps(dict(TINY_RUN, window=1, n_cand_cap=1e11,
+                                                      n_cand_factor=1e11)),
+                                      json.dumps(dict(TINY_RUN, n_aug=1e11))],
                              ids=["inf-separation", "inf-ood-far-gap", "inf-n-train",
                                   "boolean-lr", "mistyped-hidden-dims", "huge-separation",
                                   "huge-ood-far-gap", "huge-n-train", "huge-n-test",
-                                  "huge-ood-n", "huge-input-dim", "undecodable-byte"])
+                                  "huge-ood-n", "huge-input-dim", "undecodable-byte",
+                                  "huge-projection-dim", "huge-hidden-width",
+                                  "projection-dim-beyond-int64-bytes",
+                                  "hidden-width-beyond-int64-bytes", "huge-n-cand",
+                                  "huge-n-aug"])
     def test_bad_number_in_config_exit_code(self, tmp_path, capsys, body):
         cfg = tmp_path / "bad.json"
         cfg.write_bytes(body.encode() if isinstance(body, str) else body)
