@@ -14,7 +14,7 @@ From a cold start (nothing large freed yet), `total_loss_and_grads` at
 8df131b ran up to a third slower per call, and 2d424e2's gain over it
 read −23 to −25% instead of −9 to −10%.
 
-Seven kernels are timed: `partition.fit_gmm_1d` on 2000 fixed losses that
+Eight kernels are timed: `partition.fit_gmm_1d` on 2000 fixed losses that
 run to the iteration cap; `nn.total_loss_and_grads` on a default-shaped
 batch (the default net, 128 labeled, 128 unlabeled and 128 contrast rows,
 64 support rows and 64 outliers); `nn.ntxent_term` on 128 unit rows of
@@ -22,6 +22,8 @@ width 32; `data.read_dataset_csv` of a 20k-row dataset CSV and
 `data.read_features_csv` of a 1k-row feature CSV (both 8 features, written
 once by the first tree's writers, so every tree reads the same bytes);
 `harness.ood_scores` of two default-shaped nets on 20k rows;
+`geometry.filter_outliers` of 10k candidates of width 8 (the default
+`n_cand_cap` in the default feature space) against 4 class centroids;
 `metrics.auroc` plus `metrics.fpr_at_95_tpr` on 1000 ID against 1000 OOD
 scores. Each kernel runs `ROUNDS` rounds of one batch of calls (about
 `BATCH_S` long) per tree, the tree order rotating each round (A B, B A,
@@ -57,6 +59,7 @@ GMM_N = 2000
 DATASET_ROWS = 20_000
 FEATURE_ROWS = 1000
 SCORES = 1000
+CANDIDATES, CENTROIDS, OUTLIER_RADIUS = 10_000, 4, 5.0  # about half accepted
 NTXENT_ROWS, NTXENT_WIDTH = 128, 32
 ROUNDS = 25
 BATCH_S = 0.05
@@ -112,12 +115,14 @@ def _inputs(np, first, tmp: Path) -> dict:
             "z": z / np.linalg.norm(z, axis=1, keepdims=True),
             "dataset_csv": dataset_csv, "features_csv": features_csv,
             "ood_rows": rng.normal(size=(DATASET_ROWS, cfg.input_dim)),
+            "candidates": rng.normal(scale=2.0, size=(CANDIDATES, cfg.hidden_dims[-1])),
+            "centroids": rng.normal(size=(CENTROIDS, cfg.hidden_dims[-1])),
             "id_scores": scores.normal(1.0, 1.0, SCORES),
             "ood_scores": scores.normal(0.0, 1.0, SCORES)}
 
 
 def _calls(np, tree, inputs: dict) -> dict:
-    """The seven kernels of one tree, as calls on the shared inputs."""
+    """The eight kernels of one tree, as calls on the shared inputs."""
     cfg, nn = tree.RunConfig(), tree.nn
     rng = np.random.default_rng(0)
     net, *ood_nets = [nn.build_network(cfg.input_dim, cfg.n_classes, hidden=cfg.hidden_dims,
@@ -128,12 +133,15 @@ def _calls(np, tree, inputs: dict) -> dict:
         lambda_cl=cfg.lambda_cl, lambda_energy=cfg.lambda_energy,
         temperature=cfg.energy_temperature, contrast_temperature=cfg.contrast_temperature)
     id_s, ood_s = inputs["id_scores"], inputs["ood_scores"]
+    centroids = tree.geometry.CentroidSet(np.arange(CENTROIDS), inputs["centroids"])
     return {"fit_gmm_1d": lambda: tree.partition.fit_gmm_1d(inputs["losses"]),
             "total_loss_and_grads": lambda: nn.total_loss_and_grads(net, batch),
             "ntxent_term": lambda: nn.ntxent_term(inputs["z"], 0.5),
             "read_dataset_csv": lambda: tree.data.read_dataset_csv(inputs["dataset_csv"]),
             "read_features_csv": lambda: tree.data.read_features_csv(inputs["features_csv"]),
             "ood_scores": lambda: tree.harness.ood_scores(ood_nets, inputs["ood_rows"]),
+            "filter_outliers": lambda: tree.geometry.filter_outliers(
+                inputs["candidates"], centroids, OUTLIER_RADIUS),
             "auroc_fpr95": lambda: (tree.metrics.auroc(id_s, ood_s),
                                     tree.metrics.fpr_at_95_tpr(id_s, ood_s))}
 

@@ -159,6 +159,11 @@ class RunConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
+        # the largest candidate array an epoch can draw must be one numpy can size
+        if min(self.n_cand_factor * self.n_train, self.n_cand_cap) * self.hidden_dims[-1] * 8 \
+                >= 2 ** 63:
+            raise ConfigError("min(n_cand_factor * n_train, n_cand_cap) candidates of width "
+                              "hidden_dims[-1] exceed numpy's largest array")
         if self.noise_mode == "asymmetric" and self.noise_rate > 0.5:
             logging.getLogger(__name__).warning(
                 "asymmetric noise rate %.2f > 0.5: the flipped class becomes the majority",

@@ -160,7 +160,7 @@ def load_model(path) -> nn.DenseNet:
 # OOD scoring
 
 
-SCORE_BLOCK_ROWS = 4096
+SCORE_BLOCK_ROWS = 1024
 
 
 def ood_scores(nets, inputs: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -168,9 +168,14 @@ def ood_scores(nets, inputs: np.ndarray, temperature: float = 1.0) -> np.ndarray
 
     The nets run on row blocks of SCORE_BLOCK_ROWS to 2 * SCORE_BLOCK_ROWS - 1
     rows (an input of fewer rows is one block), so only one block's hidden
-    layers are held at a time. Blocks that size keep every layer in
-    OpenBLAS's regular GEMM kernel, whose rows do not depend on the row
-    count, so the scores equal those of one unblocked pass bit for bit.
+    layers are held at a time. The floor is what keeps the bits: at 1024 rows
+    every layer at least 2 wide has M*N >= 2048, past the M*N = 1200 where
+    OpenBLAS (0.3.31) leaves its small-matrix kernel, and the regular GEMM
+    kernel's rows do not depend on the row count. For nets whose layers are
+    all at least 2 wide the scores therefore equal those of one unblocked pass
+    bit for bit. numpy sends a product with one output column to GEMV, whose
+    sums do depend on the row count, so a net with a 1-wide layer agrees with
+    an unblocked pass only to rounding (about 1e-16 relative).
 
     ParameterError if some input rows overflow the nets to a non-finite score.
     """
