@@ -2,7 +2,8 @@
 
 Subcommands: gen-data, train, ood-eval, ablate. Every run option (the ablation
 switches, the sampler, the rejection radius, the per-epoch dumps) is a key of
-the `--config` JSON file, not a flag; `--seed` alone overrides one.
+the `--config` JSON file, not a flag; `--seed` alone overrides one. `ablate`
+runs the variants that `harness.sweep_variants` builds for its `--grid`.
 Exit codes: 0 success, 2 config or input error, 3 training error, 4 I/O error.
 """
 
@@ -17,8 +18,8 @@ from pathlib import Path
 from . import data as data_mod
 from .config import RunConfig
 from .errors import ConfigError, NoisylabError, TrainingError
-from .geometry import SAMPLERS
-from .harness import build_datasets, load_model, ood_metrics, ood_scores, run_experiment
+from .harness import (SWEEP_GRIDS, build_datasets, load_model, ood_metrics, ood_scores,
+                      run_experiment, sweep_variants)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -96,17 +97,6 @@ def _cmd_ood_eval(args) -> int:
     return EXIT_OK
 
 
-def _ablate_variants(grid: str, config: RunConfig):
-    if grid == "vos":
-        return [("vos_on", config.replace(disable_vos=False)),
-                ("vos_off", config.replace(disable_vos=True))]
-    if grid == "sampler":
-        return [(s, config.replace(sampler=s)) for s in SAMPLERS]
-    # "tau", the last of the grids that `--grid` accepts
-    return [(f"tau_{s:g}x", config.replace(tau_auto=True, tau_auto_scale=s))
-            for s in (0.5, 1.0, 1.5)]
-
-
 def _cmd_ablate(args) -> int:
     config = _load_config(args.config)
     try:
@@ -120,7 +110,7 @@ def _cmd_ablate(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for name, variant in _ablate_variants(args.grid, config):
+    for name, variant in sweep_variants(args.grid, config):
         for seed in seeds:
             run_cfg = variant.replace(seed=seed)
             run_dir = out / f"{name}_seed{seed}" if args.keep_runs else None
@@ -171,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="run an ablation grid and emit a comparison CSV",
                        allow_abbrev=False)
     common(p, seed=False)
-    p.add_argument("--grid", choices=("vos", "sampler", "tau"), required=True)
+    p.add_argument("--grid", choices=SWEEP_GRIDS, required=True)
     p.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated seeds")
     p.add_argument("--keep-runs", action="store_true",
                    help="keep every run's full output directory")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, undecodable
+from .errors import ConfigError, undecodable
 
 GENERATORS = ("gaussian-blobs", "two-moons-kd", "ring-classes")
 NOISE_MODES = ("symmetric", "asymmetric")
@@ -170,8 +170,11 @@ def generate_ood(spec: OodSpec, dataset: LabeledDataset) -> np.ndarray:
     """OOD inputs relative to the given ID dataset.
 
     far: uniform over a box shifted entirely beyond the ID per-dimension
-    range. near: Gaussian clusters centered exactly at
-    near_radius_factor x cluster radius from their nearest class mean.
+    range. near: Gaussian clusters centered at near_radius_factor x cluster
+    radius from their own class mean, in a random direction where that mean
+    stays the nearest. When 1000 directions all bring another class mean
+    nearer (a mean inside the hull of the others), the center is the try
+    whose nearest class mean is farthest away.
     """
     rng = np.random.default_rng(spec.seed)
     feats = dataset.features
@@ -191,16 +194,17 @@ def generate_ood(spec: OodSpec, dataset: LabeledDataset) -> np.ndarray:
     for c in range(k):
         if counts[c] == 0:
             continue
+        best, best_gap = None, -np.inf
         for _ in range(1000):
             direction = rng.normal(size=feats.shape[1])
             direction /= np.linalg.norm(direction)
             center = centroids[c] + offset * direction
-            d = np.sqrt(((center - centroids) ** 2).sum(axis=1))
-            if d.min() >= offset - 1e-9:  # the chosen centroid stays nearest
+            gap = np.sqrt(((center - centroids) ** 2).sum(axis=1)).min()
+            if gap > best_gap:
+                best, best_gap = center, gap
+            if gap >= offset - 1e-9:  # the chosen centroid stays nearest
                 break
-        else:
-            raise ParameterError("could not place a near-OOD center")
-        out.append(center + rng.normal(scale=spec.near_spread * radius,
+        out.append(best + rng.normal(scale=spec.near_spread * radius,
                                        size=(counts[c], feats.shape[1])))
     return np.vstack(out)
 

@@ -629,7 +629,7 @@ class Experiment:
         self.out_dir = Path(out_dir) if out_dir is not None else None
         if self.out_dir is not None:
             self.out_dir.mkdir(parents=True, exist_ok=True)
-        started = time.time()
+        started = time.perf_counter()
         try:
             self.warmup()
             for epoch in range(cfg.warmup_epochs, cfg.total_epochs):
@@ -637,13 +637,13 @@ class Experiment:
             self._finalize_summary()
         except TrainingError:
             self.report.incomplete = True
-            self.report.wall_clock_seconds = time.time() - started
+            self.report.wall_clock_seconds = time.perf_counter() - started
             if self.out_dir is not None:
                 self._write_outputs()
             raise
         except MemoryError as exc:  # batches or candidates that n_aug or n_cand_* size
             raise _beyond_limits(exc) from exc
-        self.report.wall_clock_seconds = time.time() - started
+        self.report.wall_clock_seconds = time.perf_counter() - started
         if self.out_dir is not None:
             self._write_outputs()
         return self.report
@@ -698,3 +698,20 @@ class Experiment:
 def run_experiment(config: RunConfig, out_dir=None) -> RunReport:
     """Warm-up, all training epochs, final OOD evaluation, file outputs."""
     return Experiment(config).run(out_dir)
+
+
+SWEEP_GRIDS = ("vos", "sampler", "tau")
+
+
+def sweep_variants(grid: str, config: RunConfig) -> list[tuple[str, RunConfig]]:
+    """The named variants of config that one ablation grid compares, in the
+    order `noisylab ablate` writes them. ConfigError for an unknown grid."""
+    if grid == "vos":
+        return [("vos_on", config.replace(disable_vos=False)),
+                ("vos_off", config.replace(disable_vos=True))]
+    if grid == "sampler":
+        return [(s, config.replace(sampler=s)) for s in geometry.SAMPLERS]
+    if grid == "tau":
+        return [(f"tau_{s:g}x", config.replace(tau_auto=True, tau_auto_scale=s))
+                for s in (0.5, 1.0, 1.5)]
+    raise ConfigError(f"unknown sweep grid {grid!r}; choose from {SWEEP_GRIDS}")

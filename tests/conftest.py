@@ -5,42 +5,29 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-import time  # noqa: E402
-
 import pytest  # noqa: E402
 
 from noisylab import RunConfig, run_experiment  # noqa: E402
+from noisylab.harness import sweep_variants  # noqa: E402
 
 
 class RunCache:
-    """Lazily run and cache full experiments shared across acceptance tests."""
+    """Lazily run and cache full experiments shared across acceptance tests,
+    keyed by their resolved config, so equal variants of two grids run once."""
 
     def __init__(self):
         self._runs = {}
-        self.wall_clock = {}
 
-    def config_for(self, variant: str, seed: int) -> RunConfig:
-        base = RunConfig(seed=seed)
-        if variant == "default":
-            return base
-        if variant == "no_vos":
-            return base.replace(disable_vos=True)
-        if variant.startswith("sampler:"):
-            return base.replace(sampler=variant.split(":", 1)[1])
-        if variant.startswith("tau:"):
-            return base.replace(tau_auto_scale=float(variant.split(":", 1)[1]))
-        raise KeyError(variant)
-
-    def get(self, variant: str, seed: int):
-        key = (variant, seed)
+    def get(self, config: RunConfig):
+        key = repr(config)
         if key not in self._runs:
-            start = time.perf_counter()
-            self._runs[key] = run_experiment(self.config_for(variant, seed))
-            self.wall_clock[key] = time.perf_counter() - start
+            self._runs[key] = run_experiment(config)
         return self._runs[key]
 
-    def summaries(self, variant: str, seeds=(1, 2, 3, 4, 5)):
-        return [self.get(variant, seed).summary for seed in seeds]
+    def sweep(self, grid: str, seeds=(1, 2, 3, 4, 5)):
+        """{variant name: [report per seed]} over the default config's grid."""
+        return {name: [self.get(variant.replace(seed=seed)) for seed in seeds]
+                for name, variant in sweep_variants(grid, RunConfig())}
 
 
 @pytest.fixture(scope="session")

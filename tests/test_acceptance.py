@@ -1,8 +1,10 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
 Each test prints one `[criterion N] PASS/FAIL` line. The heavier
-criteria share full experiment runs through the session-scoped cache;
-run with `pytest -s tests/test_acceptance.py` to watch the lines appear.
+criteria read the `vos`, `sampler` and `tau` ablation grids of
+`harness.sweep_variants` at seeds 1-5 through the session-scoped cache,
+which runs each distinct config once; run with
+`pytest -s tests/test_acceptance.py` to watch the lines appear.
 """
 
 import time
@@ -12,16 +14,14 @@ import numpy as np
 from noisylab import RunConfig, geometry, metrics, nn, partition, run_experiment
 from gradcheck import REL_TOL, run_suite
 
-SEEDS = (1, 2, 3, 4, 5)
-
 
 def criterion(number: int, ok: bool, message: str):
     print(f"\n[criterion {number:2d}] {'PASS' if ok else 'FAIL'}: {message}")
     assert ok, f"criterion {number}: {message}"
 
 
-def final_accuracies(summaries):
-    return np.array([s["final_test_accuracy"] for s in summaries])
+def final_accuracies(reports):
+    return np.array([r.summary["final_test_accuracy"] for r in reports])
 
 
 def test_criterion_1_gradient_suite():
@@ -120,13 +120,11 @@ def test_criterion_4_energy_separation_toy():
 
 
 def test_criterion_5_vos_ablation(run_cache):
-    on = run_cache.summaries("default")
-    off = run_cache.summaries("no_vos")
-    acc_gap = final_accuracies(on).mean() - final_accuracies(off).mean()
-    f1_on = np.mean([s["final_selection_f1"] for s in on])
-    f1_off = np.mean([s["final_selection_f1"] for s in off])
-    runtime = sum(run_cache.wall_clock[(v, s)] for v in ("default", "no_vos")
-                  for s in SEEDS)
+    vos = run_cache.sweep("vos")
+    acc_gap = final_accuracies(vos["vos_on"]).mean() - final_accuracies(vos["vos_off"]).mean()
+    f1_on = np.mean([r.summary["final_selection_f1"] for r in vos["vos_on"]])
+    f1_off = np.mean([r.summary["final_selection_f1"] for r in vos["vos_off"]])
+    runtime = sum(r.wall_clock_seconds for reports in vos.values() for r in reports)
     ok = acc_gap >= 0.01 and f1_on > f1_off and runtime <= 600.0
     criterion(5, ok, f"accuracy gap {100 * acc_gap:+.2f} pts (>= 1), selection F1 "
                      f"{f1_on:.4f} vs {f1_off:.4f} (strictly higher), "
@@ -134,11 +132,12 @@ def test_criterion_5_vos_ablation(run_cache):
 
 
 def test_criterion_6_sampling_strategies(run_cache):
-    uniform = final_accuracies(run_cache.summaries("default")).mean()
+    means = {name: final_accuracies(reports).mean()
+             for name, reports in run_cache.sweep("sampler").items()}
+    uniform = means.pop("uniform")
     ties, ok = [], True
     report = [f"uniform {uniform:.4f}"]
-    for other in ("gaussian", "perturbation", "hybrid"):
-        mean = final_accuracies(run_cache.summaries(f"sampler:{other}")).mean()
+    for other, mean in means.items():
         report.append(f"{other} {mean:.4f}")
         if uniform >= mean:
             continue
@@ -151,8 +150,8 @@ def test_criterion_6_sampling_strategies(run_cache):
 
 
 def test_criterion_7_ood_detection(run_cache):
-    on = run_cache.summaries("default")
-    off = run_cache.summaries("no_vos")
+    vos = run_cache.sweep("vos")
+    on, off = ([r.summary for r in vos[name]] for name in ("vos_on", "vos_off"))
     far_on = np.mean([s["ood"]["far"]["auroc"] for s in on])
     far_off = np.mean([s["ood"]["far"]["auroc"] for s in off])
     fpr_on = np.mean([s["ood"]["far"]["fpr95"] for s in on])
@@ -163,7 +162,7 @@ def test_criterion_7_ood_detection(run_cache):
 
 
 def test_criterion_8_envelope_contraction(run_cache):
-    report = run_cache.get("default", 1)
+    report = run_cache.get(RunConfig(seed=1))
     vols = [e["envelope_log_volume"] for e in report.epochs
             if e["envelope_log_volume"] is not None]
     ok = len(vols) > 1 and vols[-1] < max(vols)
@@ -171,7 +170,7 @@ def test_criterion_8_envelope_contraction(run_cache):
 
 
 def test_criterion_9_determinism(run_cache):
-    first = run_cache.get("default", 1).canonical_json()
+    first = run_cache.get(RunConfig(seed=1)).canonical_json()
     second = run_experiment(RunConfig(seed=1)).canonical_json()
     ok = first == second
     criterion(9, ok, f"byte-identical reports across repeated runs: {ok} "
@@ -179,10 +178,8 @@ def test_criterion_9_determinism(run_cache):
 
 
 def test_criterion_10_tau_robustness(run_cache):
-    means = {}
-    means[1.0] = final_accuracies(run_cache.summaries("default")).mean()
-    for scale in (0.5, 1.5):
-        means[scale] = final_accuracies(run_cache.summaries(f"tau:{scale}")).mean()
+    means = {reports[0].config["tau_auto_scale"]: final_accuracies(reports).mean()
+             for reports in run_cache.sweep("tau").values()}
     band = max(means.values()) - min(means.values())
     ok = band <= 0.03
     criterion(10, ok, "accuracy across tau multipliers "

@@ -1,6 +1,7 @@
 """Configuration, orchestration, reports, persistence, and the CLI."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -17,10 +18,10 @@ import batch_oracle
 import noisylab
 from noisylab import RunConfig, data, nn, run_experiment
 from noisylab.cli import main as cli_main
-from noisylab.errors import ConfigError, ParameterError
-from noisylab.harness import (REPORT_SCHEMA, SCORE_BLOCK_ROWS, Experiment, build_datasets,
-                              evaluate_ood, load_model, mean_of_net_rows, ood_scores,
-                              save_model)
+from noisylab.errors import ConfigError
+from noisylab.harness import (REPORT_SCHEMA, SCORE_BLOCK_ROWS, SWEEP_GRIDS, Experiment,
+                              build_datasets, evaluate_ood, load_model, mean_of_net_rows,
+                              ood_scores, save_model, sweep_variants)
 
 SMOKE = dict(n_train=300, n_test=150, warmup_epochs=2, total_epochs=5,
              hidden_dims=(16, 8), ood_n=100, window=2)
@@ -293,6 +294,35 @@ class TestAblationIsolation:
                 assert e["loss_contrastive"] == 0.0
 
 
+class TestSweepVariants:
+    # each grid's variants in `ablation.csv` order, and the keys each one sets
+    GRIDS = {
+        "vos": {"vos_on": dict(disable_vos=False), "vos_off": dict(disable_vos=True)},
+        "sampler": {s: dict(sampler=s) for s in ("uniform", "gaussian", "perturbation",
+                                                  "hybrid")},
+        "tau": {f"tau_{s}x": dict(tau_auto=True, tau_auto_scale=float(s))
+                for s in ("0.5", "1", "1.5")},
+    }
+
+    def test_grids(self):
+        assert SWEEP_GRIDS == tuple(self.GRIDS)
+
+    def test_unknown_grid_rejected(self):
+        with pytest.raises(ConfigError, match="unknown sweep grid 'lambda'"):
+            sweep_variants("lambda", RunConfig())
+
+    @pytest.mark.parametrize("grid", SWEEP_GRIDS)
+    def test_variants_in_csv_order(self, grid):
+        # a base that differs from every variant in the keys the grids set
+        base = RunConfig(**TINY_RUN, disable_vos=True, sampler="hybrid", tau_auto=False,
+                         tau_auto_scale=2.0)
+        variants = sweep_variants(grid, base)
+        assert [name for name, _ in variants] == list(self.GRIDS[grid])
+        for name, config in variants:
+            assert config == base.replace(**self.GRIDS[grid][name]), name
+            config.validate()
+
+
 class TestOutputs:
     def test_output_files_written(self, tmp_path):
         cfg = RunConfig(seed=8, dump_selection=True, dump_geometry=True,
@@ -446,10 +476,6 @@ class TestBuildDatasets:
                 build_datasets(config)
             except ConfigError as exc:
                 failures.append((raw, str(exc)))
-            except ParameterError as exc:
-                # a class mean inside the hull of the others (rings all share one,
-                # near the origin) has no far point it is nearest to
-                assert str(exc) == "could not place a near-OOD center", raw
         assert not failures, failures
 
 
@@ -679,6 +705,8 @@ class TestCli:
         lines = (tmp_path / "ab" / "ablation.csv").read_text().splitlines()
         assert lines[0].startswith("variant,seed,final_accuracy")
         assert len(lines) == 1 + 2 * 2  # two variants x two seeds
+        assert hashlib.sha256((tmp_path / "ab" / "ablation.csv").read_bytes()).hexdigest() == \
+            "437ba30e5fed8e0ecd43b7645251bd4b1079677e20ba51736722758c33972c34"
 
     def test_export_features_command(self, tmp_path):
         cfg = tmp_path / "cfg.json"
