@@ -14,10 +14,13 @@ From a cold start (nothing large freed yet), `total_loss_and_grads` at
 8df131b ran up to a third slower per call, and 2d424e2's gain over it
 read −23 to −25% instead of −9 to −10%.
 
-Eight kernels are timed: `partition.fit_gmm_1d` on 2000 fixed losses that
+Ten kernels are timed: `partition.fit_gmm_1d` on 2000 fixed losses that
 run to the iteration cap; `nn.total_loss_and_grads` on a default-shaped
 batch (the default net, 128 labeled, 128 unlabeled and 128 contrast rows,
-64 support rows and 64 outliers); `nn.ntxent_term` on 128 unit rows of
+64 support rows and 64 outliers); `nn.sgd_step` of the default net with
+the gradients of that batch, the default learning rate and weight decay,
+and a momentum state; `nn.softmax` of 256 logit rows of width 4 (a step's
+labeled and unlabeled rows); `nn.ntxent_term` on 128 unit rows of
 width 32; `data.read_dataset_csv` of a 20k-row dataset CSV and
 `data.read_features_csv` of a 1k-row feature CSV (both 8 features, written
 once by the first tree's writers, so every tree reads the same bytes);
@@ -61,6 +64,7 @@ FEATURE_ROWS = 1000
 SCORES = 1000
 CANDIDATES, CENTROIDS, OUTLIER_RADIUS = 10_000, 4, 5.0  # about half accepted
 NTXENT_ROWS, NTXENT_WIDTH = 128, 32
+SOFTMAX_ROWS = 256
 ROUNDS = 25
 BATCH_S = 0.05
 FREED_BLOCK_BYTES = 8 << 20
@@ -112,6 +116,7 @@ def _inputs(np, first, tmp: Path) -> dict:
     # skewed, unimodal losses: the fit runs to the 100-iteration cap, as 25
     # of the 60 fits of the seed-1 default run do
     return {"losses": np.random.default_rng(0).beta(2.0, 5.0, GMM_N), "batch": batch,
+            "logits": np.random.default_rng(0).normal(size=(SOFTMAX_ROWS, cfg.n_classes)),
             "z": z / np.linalg.norm(z, axis=1, keepdims=True),
             "dataset_csv": dataset_csv, "features_csv": features_csv,
             "ood_rows": rng.normal(size=(DATASET_ROWS, cfg.input_dim)),
@@ -122,20 +127,26 @@ def _inputs(np, first, tmp: Path) -> dict:
 
 
 def _calls(np, tree, inputs: dict) -> dict:
-    """The eight kernels of one tree, as calls on the shared inputs."""
+    """The ten kernels of one tree, as calls on the shared inputs."""
     cfg, nn = tree.RunConfig(), tree.nn
     rng = np.random.default_rng(0)
-    net, *ood_nets = [nn.build_network(cfg.input_dim, cfg.n_classes, hidden=cfg.hidden_dims,
-                                       projection_dim=cfg.projection_dim, rng=rng)
-                      for _ in range(3)]
+    net, sgd_net, *ood_nets = [nn.build_network(cfg.input_dim, cfg.n_classes,
+                                                hidden=cfg.hidden_dims,
+                                                projection_dim=cfg.projection_dim, rng=rng)
+                               for _ in range(4)]
     batch = nn.TotalLossBatch(
         **inputs["batch"], lambda_u=cfg.lambda_u, lambda_reg=cfg.lambda_reg,
         lambda_cl=cfg.lambda_cl, lambda_energy=cfg.lambda_energy,
         temperature=cfg.energy_temperature, contrast_temperature=cfg.contrast_temperature)
+    grads = nn.total_loss_and_grads(sgd_net, batch)[2]
+    state = nn.GradientBundle.zeros(sgd_net)
     id_s, ood_s = inputs["id_scores"], inputs["ood_scores"]
     centroids = tree.geometry.CentroidSet(np.arange(CENTROIDS), inputs["centroids"])
     return {"fit_gmm_1d": lambda: tree.partition.fit_gmm_1d(inputs["losses"]),
             "total_loss_and_grads": lambda: nn.total_loss_and_grads(net, batch),
+            "sgd_step": lambda: nn.sgd_step(sgd_net, grads, cfg.lr, cfg.weight_decay,
+                                            cfg.momentum, state),
+            "softmax": lambda: nn.softmax(inputs["logits"]),
             "ntxent_term": lambda: nn.ntxent_term(inputs["z"], 0.5),
             "read_dataset_csv": lambda: tree.data.read_dataset_csv(inputs["dataset_csv"]),
             "read_features_csv": lambda: tree.data.read_features_csv(inputs["features_csv"]),

@@ -13,7 +13,7 @@ term and the combined objective against central finite differences.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,11 +59,22 @@ class DenseLayer:
 
 @dataclass
 class DenseNet:
-    """Extractor + classifier head + projection head as one layer list."""
+    """Extractor + classifier head + projection head as one layer list.
+
+    The net owns one C-contiguous float64 vector, `params`, holding every
+    parameter layer by layer (weights, then bias), and each layer's
+    `weights` and `bias` are reshaped views of it, so that `sgd_step`
+    updates the whole net in a few vector operations. Construction copies
+    the given layers' arrays into `params` and gives the net layer objects
+    of its own; the given ones are left as they were. Assign into a layer's
+    arrays in place (`layer.bias[:] = ...`): rebinding one detaches it from
+    `params`, and SGD no longer updates it.
+    """
 
     layers: list[DenseLayer]
     extractor_end: int
     classifier_end: int
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (1 <= self.extractor_end <= self.classifier_end <= len(self.layers)):
@@ -78,6 +89,13 @@ class DenseNet:
             for i in range(head_start, head_end):
                 if self.layers[i].in_dim != widths[i - head_start]:
                     raise ShapeError("head widths disagree with extractor output")
+        self.params = _pack([l.weights for l in self.layers], [l.bias for l in self.layers])
+        weights, biases = _views(self.params, [l.weights.shape for l in self.layers])
+        self.layers = [DenseLayer(w, b, l.activation)
+                       for w, b, l in zip(weights, biases, self.layers)]
+
+    def __deepcopy__(self, memo):
+        return DenseNet(self.layers, self.extractor_end, self.classifier_end)  # packs a copy
 
     @property
     def input_dim(self) -> int:
@@ -90,6 +108,23 @@ class DenseNet:
     @property
     def n_classes(self) -> int:
         return self.layers[self.classifier_end - 1].out_dim
+
+
+def _pack(weights: list[np.ndarray], biases: list[np.ndarray]) -> np.ndarray:
+    """One fresh float64 vector holding each layer's weights, then its bias, layer by layer."""
+    return np.concatenate([np.ravel(a) for pair in zip(weights, biases) for a in pair],
+                          dtype=np.float64)
+
+
+def _views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(weight views, bias views) of a vector `_pack` laid out for weights of these shapes."""
+    weights, biases, start = [], [], 0
+    for out_dim, in_dim in shapes:
+        end = start + out_dim * in_dim
+        weights.append(flat[start:end].reshape(out_dim, in_dim))
+        biases.append(flat[end:end + out_dim])
+        start = end + out_dim
+    return weights, biases
 
 
 def build_network(input_dim: int, n_classes: int, hidden=(64, 64), projection_dim: int = 32,
@@ -131,6 +166,7 @@ class ForwardCache:
     logits: np.ndarray | None = None
     projection_raw: np.ndarray | None = None
     projection: np.ndarray | None = None
+    projection_norms: np.ndarray | None = None  # row norms of projection_raw, 1.0 where degenerate
     degenerate_rows: np.ndarray | None = None
 
 
@@ -160,10 +196,11 @@ def _run_segment(net: DenseNet, x: np.ndarray, start: int, end: int, cache: Forw
     return out
 
 
-def normalize_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def normalize_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """L2-normalize rows; zero rows fall back to the first basis vector.
 
-    Returns (unit rows, degenerate-row mask).
+    Returns (unit rows, degenerate-row mask, the norms the rows were
+    divided by, which are 1.0 in degenerate rows).
     """
     norms = np.linalg.norm(u, axis=1)
     degenerate = norms < 1e-30
@@ -174,7 +211,7 @@ def normalize_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z[degenerate] = 0.0
         z[degenerate, 0] = 1.0
         log.warning("projection: %d zero-norm embedding(s) replaced by e1", int(degenerate.sum()))
-    return z, degenerate
+    return z, degenerate, safe
 
 
 def forward_batch(net: DenseNet, x: np.ndarray, *, want_logits: bool = True,
@@ -187,7 +224,7 @@ def forward_batch(net: DenseNet, x: np.ndarray, *, want_logits: bool = True,
     if want_projection:
         raw = _run_segment(net, cache.features, net.classifier_end, len(net.layers), cache)
         cache.projection_raw = raw
-        cache.projection, cache.degenerate_rows = normalize_rows(raw)
+        cache.projection, cache.degenerate_rows, cache.projection_norms = normalize_rows(raw)
     return cache
 
 
@@ -219,10 +256,23 @@ def head_forward(net: DenseNet, features: np.ndarray, cache: ForwardCache | None
 # pointwise losses and the energy score
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """`a.max(axis=-1, keepdims=True)`, gathered at each row's argmax.
+
+    numpy reduces a short last axis one row at a time; one argmax and one
+    gather over the rows are faster. The maximum is exact. Of a tie between
+    0.0 and -0.0 this returns the first, where `max` may return -0.0. Every
+    caller subtracts the maximum before an `exp`, or adds it to a log of at
+    least 0, so their outputs keep their bits.
+    """
+    rows = a.reshape(-1, a.shape[-1])
+    return rows[np.arange(len(rows)), rows.argmax(axis=1)].reshape(a.shape[:-1] + (1,))
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Max-shifted softmax along the last axis."""
     logits = np.asarray(logits, dtype=np.float64)
-    e = logits - logits.max(axis=-1, keepdims=True)
+    e = logits - _row_max(logits)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -253,7 +303,7 @@ def _energy_parts(logits: np.ndarray, temperature: float):
     if temperature <= 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
     shifted = np.asarray(logits, dtype=np.float64) / temperature
-    m = shifted.max(axis=-1, keepdims=True)
+    m = _row_max(shifted)
     shifted -= m
     np.exp(shifted, out=shifted)
     sums = shifted.sum(axis=-1)
@@ -278,21 +328,33 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # gradient bundles and backprop
 
 
-@dataclass
 class GradientBundle:
-    """Per-parameter arrays mirroring a DenseNet: its gradients, or its SGD velocities."""
+    """Per-parameter arrays mirroring a DenseNet: its gradients, or its SGD velocities.
 
-    d_weights: list[np.ndarray]
-    d_bias: list[np.ndarray]
+    Like the net's layers, `d_weights` and `d_bias` are views of one vector,
+    `flat`, laid out as `DenseNet.params`. A bundle built from lists copies
+    them into it.
+    """
+
+    def __init__(self, d_weights: list[np.ndarray], d_bias: list[np.ndarray]):
+        shapes = [np.shape(w) for w in d_weights]
+        if [np.shape(b) for b in d_bias] != [shape[:1] for shape in shapes]:
+            raise ShapeError("each bias must be 1-D, as long as its weights' first axis")
+        self.flat = _pack(d_weights, d_bias)
+        self.d_weights, self.d_bias = _views(self.flat, shapes)
 
     @classmethod
     def zeros(cls, net: DenseNet) -> "GradientBundle":
-        return cls([np.zeros_like(l.weights) for l in net.layers],
-                   [np.zeros_like(l.bias) for l in net.layers])
+        bundle = cls.__new__(cls)
+        bundle.flat = np.zeros(net.params.shape)
+        bundle.d_weights, bundle.d_bias = _views(bundle.flat, [l.weights.shape for l in net.layers])
+        return bundle
+
+    def __deepcopy__(self, memo):
+        return GradientBundle(self.d_weights, self.d_bias)  # packs a copy
 
     def is_finite(self) -> bool:
-        return (all(np.isfinite(a).all() for a in self.d_weights)
-                and all(np.isfinite(a).all() for a in self.d_bias))
+        return bool(np.isfinite(self.flat).all())
 
 
 def _backward_segment(net: DenseNet, cache: ForwardCache, dout: np.ndarray,
@@ -335,11 +397,8 @@ def backprop_projection(net: DenseNet, cache: ForwardCache, dproj: np.ndarray,
                         bundle: GradientBundle, scale: float = 1.0) -> None:
     """Add scale times dproj's parameter gradients, through projector and extractor, into bundle."""
     # through z = u / |u|: du = (dz - (dz . z) z) / |u|; degenerate rows are constant
-    u = cache.projection_raw
     z = cache.projection
-    norms = np.linalg.norm(u, axis=1, keepdims=True)
-    norms = np.where(norms < 1e-30, 1.0, norms)
-    draw = (dproj - (dproj * z).sum(axis=1, keepdims=True) * z) / norms
+    draw = (dproj - (dproj * z).sum(axis=1, keepdims=True) * z) / cache.projection_norms[:, None]
     if cache.degenerate_rows is not None and cache.degenerate_rows.any():
         draw[cache.degenerate_rows] = 0.0
     grads, dfeat = _backward_segment(net, cache, draw, net.classifier_end, len(net.layers))
@@ -348,7 +407,7 @@ def backprop_projection(net: DenseNet, cache: ForwardCache, dproj: np.ndarray,
 
 
 def _softmax_chain(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
-    """dL/dlogits given dL/dprobs, row-wise through the softmax Jacobian."""
+    """dL/dlogits given dL/dprobs (per row, or one row for all), through the softmax Jacobian."""
     return probs * (dprobs - (dprobs * probs).sum(axis=1, keepdims=True))
 
 
@@ -397,8 +456,7 @@ def prior_kl_term(probs: np.ndarray):
     pbar = np.add.reduce(probs, 0) / n
     prior = 1.0 / k
     value = float((prior * np.log(prior / pbar)).sum())
-    dprobs = np.tile(-prior / (n * pbar), (n, 1))
-    return value, _softmax_chain(probs, dprobs)
+    return value, _softmax_chain(probs, -prior / (n * pbar))  # one (K,) row, broadcast
 
 
 def ntxent_term(z: np.ndarray, temperature: float):
@@ -414,8 +472,8 @@ def ntxent_term(z: np.ndarray, temperature: float):
         raise ShapeError("contrastive batch must hold adjacent view pairs")
     sims = z @ z.T
     sims /= temperature
-    np.fill_diagonal(sims, -np.inf)
-    row_max = sims.max(axis=1, keepdims=True)
+    sims.flat[::m + 1] = -np.inf  # the diagonal
+    row_max = _row_max(sims)
     dsims = sims - row_max
     np.exp(dsims, out=dsims)
     denom = dsims.sum(axis=1, keepdims=True)
@@ -590,14 +648,9 @@ def sgd_step(net: DenseNet, grads: GradientBundle, lr: float, weight_decay: floa
         raise ParameterError(f"learning rate must be positive, got {lr}")
     if state is None:
         state = GradientBundle.zeros(net)
-    for layer, dw, db, vw, vb in zip(net.layers, grads.d_weights, grads.d_bias,
-                                     state.d_weights, state.d_bias):
-        gw = dw + weight_decay * layer.weights
-        gb = db + weight_decay * layer.bias
-        vw *= momentum
-        vw += gw
-        vb *= momentum
-        vb += gb
-        layer.weights -= lr * vw
-        layer.bias -= lr * vb
+    # each parameter sees the operations of a per-layer update, in its order
+    g = grads.flat + weight_decay * net.params
+    state.flat *= momentum
+    state.flat += g
+    net.params -= lr * state.flat
     return state

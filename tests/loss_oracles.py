@@ -6,7 +6,9 @@ already-computed predictions or projections, so tests can compare them
 against the terms the training path uses. `total_loss_and_grads` below
 is the composition of the step's gradients that `noisylab.nn` replaced,
 kept as an oracle, and `energy_bce_term` the composition of the energy
-term's value and gradient that it replaced.
+term's value and gradient that it replaced. `sgd_step` is the per-layer
+update that `nn.sgd_step` replaced with operations on whole parameter
+vectors.
 """
 
 import numpy as np
@@ -221,3 +223,20 @@ def total_loss_and_grads(net, batch):
              + batch.lambda_reg * terms["prior"] + batch.lambda_cl * terms["contrastive"]
              + batch.lambda_energy * terms["energy"])
     return value, terms, bundle
+
+
+def sgd_step(net, grads, lr, weight_decay=0.0, momentum=0.0, state=None):
+    """In-place momentum SGD, layer by layer and array by array; returns the velocities."""
+    if state is None:
+        state = nn.GradientBundle.zeros(net)
+    for layer, dw, db, vw, vb in zip(net.layers, grads.d_weights, grads.d_bias,
+                                     state.d_weights, state.d_bias):
+        gw = dw + weight_decay * layer.weights
+        gb = db + weight_decay * layer.bias
+        vw *= momentum
+        vw += gw
+        vb *= momentum
+        vb += gb
+        layer.weights -= lr * vw
+        layer.bias -= lr * vb
+    return state

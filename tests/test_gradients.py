@@ -126,9 +126,9 @@ def _random_step(rng, case):
         # nonpositive extractor biases map a zero input to zero features,
         # which a bias-free projector maps to a zero-norm embedding
         for layer in net.layers[:net.extractor_end]:
-            layer.bias = -np.abs(layer.bias)
+            layer.bias[:] = -np.abs(layer.bias)
         for layer in net.layers[net.classifier_end:]:
-            layer.bias = np.zeros_like(layer.bias)
+            layer.bias[:] = 0.0
         batch.contrast_views[0] = 0.0
     return net, batch
 

@@ -1,11 +1,18 @@
 """Forward passes, pointwise losses, energy score, and the optimizer."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import loss_oracles
-from noisylab import nn
+from noisylab import harness, nn
 from noisylab.errors import ParameterError, ShapeError
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 def identity_net(dim=2):
@@ -96,8 +103,8 @@ class TestProjection:
         assert np.allclose(cache.projection[0], [0.6, 0.8])
 
     def test_zero_norm_falls_back_to_first_basis_vector(self):
-        z, degenerate = nn.normalize_rows(np.zeros((1, 4)))
-        assert degenerate[0]
+        z, degenerate, norms = nn.normalize_rows(np.zeros((1, 4)))
+        assert degenerate[0] and norms[0] == 1.0
         assert np.allclose(z[0], [1.0, 0.0, 0.0, 0.0])
 
     def test_seeded_projection_matches_normalize_oracle(self):
@@ -229,6 +236,55 @@ class TestEnergy:
         assert dlogits.tobytes() == want_dlogits.tobytes()
 
 
+# entries that tie, signed zeros and -inf, among ordinary values
+ROW_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, -np.inf, 1.0, -1.0]),
+                        st.floats(-50.0, 50.0))
+
+
+def energies_by_max(logits, temperature):
+    """-T * logsumexp(logits / T) along the last axis, shifted by `max`."""
+    shifted = logits / temperature
+    m = shifted.max(axis=-1, keepdims=True)
+    return -temperature * (m[..., 0] + np.log(np.exp(shifted - m).sum(axis=-1)))
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestRowMax:
+    """The argmax-gathered row maximum against `max(axis=-1, keepdims=True)`."""
+
+    @PROPERTY
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=6),
+                      elements=ROW_ENTRIES))
+    @example(np.array([[0.0, -0.0], [-0.0, 0.0], [-np.inf, -0.0]]))
+    def test_callers_keep_the_bits_of_max(self, logits):
+        m = nn._row_max(logits)
+        assert m.shape == logits.max(axis=-1, keepdims=True).shape
+        assert np.array_equal(m, logits.max(axis=-1, keepdims=True))
+        with np.errstate(invalid="ignore"):  # a row of only -inf gives nan on both sides
+            assert same_bits(nn.softmax(logits), loss_oracles.softmax(logits))
+            for temperature in (1.0, 0.5):
+                assert same_bits(nn.energies(logits, temperature),
+                                 energies_by_max(logits, temperature))
+
+    @PROPERTY
+    @given(st.integers(1, 5).flatmap(lambda pairs: hnp.arrays(
+        np.float64, st.tuples(st.just(2 * pairs), st.integers(1, 4)),
+        elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]))))
+    def test_ntxent_keeps_the_bits_of_max(self, z):
+        # small exact entries: many tied similarities, zero rows and signed zeros
+        value, dz = nn.ntxent_term(z, 0.5)
+        want_value, want_dz = loss_oracles.ntxent_term(z, 0.5)
+        assert same_bits(value, want_value) and same_bits(dz, want_dz)
+
+    def test_a_signed_zero_tie_gives_the_first_zero(self):
+        m = nn._row_max(np.array([[0.0, -0.0], [-0.0, 0.0]]))
+        assert np.signbit(m[:, 0]).tolist() == [False, True]
+
+
 class TestBackwardTrivial:
     def test_zero_weight_net_uniform_targets_gives_zero_gradient(self):
         layers = [
@@ -297,3 +353,106 @@ class TestSgd:
         net = identity_net()
         with pytest.raises(ParameterError):
             nn.sgd_step(net, nn.GradientBundle.zeros(net), lr=0.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_vector_step_matches_per_layer_oracle(self, seed):
+        rng = np.random.default_rng((seed, 17))
+        net = random_net(rng)
+        oracle_net = copy.deepcopy(net)
+        state = oracle_state = None
+        for _ in range(20):
+            grads = nn.GradientBundle([rng.normal(size=l.weights.shape) for l in net.layers],
+                                      [rng.normal(size=l.bias.shape) for l in net.layers])
+            state = nn.sgd_step(net, grads, 0.05, weight_decay=5e-4, momentum=0.9, state=state)
+            oracle_state = loss_oracles.sgd_step(oracle_net, grads, 0.05, weight_decay=5e-4,
+                                                 momentum=0.9, state=oracle_state)
+        for got, want in zip(layer_arrays(net) + state.d_weights + state.d_bias,
+                             layer_arrays(oracle_net) + oracle_state.d_weights
+                             + oracle_state.d_bias):
+            assert same_bits(got, want)
+
+
+def random_net(rng):
+    """A net of random widths, 1-wide layers included, with 1-2 layer extractor and heads."""
+    widths = [int(w) for w in rng.integers(1, 5, size=int(rng.integers(2, 4)))]
+    layers = [nn.DenseLayer(rng.normal(size=(b, a)), rng.normal(size=b), "relu")
+              for a, b in zip(widths, widths[1:])]
+    classifier_end = None
+    for out in rng.integers(1, 4, size=2):
+        if rng.random() < 0.5:
+            h = int(rng.integers(1, 4))
+            layers.append(nn.DenseLayer(rng.normal(size=(h, widths[-1])), rng.normal(size=h)))
+            layers.append(nn.DenseLayer(rng.normal(size=(out, h)), rng.normal(size=out),
+                                        "identity"))
+        else:
+            layers.append(nn.DenseLayer(rng.normal(size=(out, widths[-1])),
+                                        rng.normal(size=out), "identity"))
+        classifier_end = classifier_end or len(layers)
+    return nn.DenseNet(layers, len(widths) - 1, classifier_end)
+
+
+def layer_arrays(net):
+    return [a for l in net.layers for a in (l.weights, l.bias)]
+
+
+def bundle_arrays(bundle):
+    return [a for pair in zip(bundle.d_weights, bundle.d_bias) for a in pair]
+
+
+class TestParameterVector:
+    def assert_views_of(self, arrays, flat):
+        assert flat.dtype == np.float64 and flat.flags.c_contiguous
+        assert flat.size == sum(a.size for a in arrays)
+        assert all(np.shares_memory(a, flat) for a in arrays)
+        assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), flat)
+
+    def test_built_loaded_and_copied_nets_are_views_of_params(self, tmp_path):
+        net = nn.build_network(3, 2, hidden=(5, 1), projection_dim=4,
+                               rng=np.random.default_rng(0))
+        harness.save_model(net, tmp_path / "net.npz")
+        loaded = harness.load_model(tmp_path / "net.npz")
+        for n in (net, loaded, copy.deepcopy(net)):
+            self.assert_views_of(layer_arrays(n), n.params)
+            assert np.array_equal(n.params, net.params)
+        assert not np.shares_memory(copy.deepcopy(net).params, net.params)
+
+    def test_construction_copies_and_leaves_the_given_layers(self):
+        layers = [nn.DenseLayer(np.eye(2), np.zeros(2), "identity") for _ in range(3)]
+        given_arrays = [a for l in layers for a in (l.weights, l.bias)]
+        net = nn.DenseNet(layers, 1, 2)
+        assert all(l is not g for l, g in zip(net.layers, layers))
+        assert [a for l in layers for a in (l.weights, l.bias)] == given_arrays
+        assert not any(np.shares_memory(a, net.params) for a in given_arrays)
+
+    def test_a_bundle_packs_its_lists(self):
+        rng = np.random.default_rng(1)
+        net = random_net(rng)
+        d_weights = [rng.normal(size=l.weights.shape) for l in net.layers]
+        d_bias = [rng.normal(size=l.bias.shape) for l in net.layers]
+        bundle = nn.GradientBundle(d_weights, d_bias)
+        copied = copy.deepcopy(bundle)
+        for b in (bundle, copied):
+            self.assert_views_of(bundle_arrays(b), b.flat)
+            assert all(np.array_equal(a, g) for a, g in zip(b.d_weights + b.d_bias,
+                                                            d_weights + d_bias))
+        assert not any(np.shares_memory(bundle.flat, a) for a in d_weights + d_bias)
+        assert not np.shares_memory(copied.flat, bundle.flat)
+        zeros = nn.GradientBundle.zeros(net)
+        self.assert_views_of(bundle_arrays(zeros), zeros.flat)
+        assert zeros.flat.shape == net.params.shape and not zeros.flat.any()
+
+    def test_mismatched_bias_is_rejected(self):
+        with pytest.raises(ShapeError):
+            nn.GradientBundle([np.zeros((2, 3))], [np.zeros(3)])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_one_nonfinite_entry_in_any_view_is_seen(self, bad):
+        net = nn.build_network(3, 2, hidden=(4, 1), projection_dim=2,
+                               rng=np.random.default_rng(2))
+        bundle = nn.GradientBundle.zeros(net)
+        assert bundle.is_finite()
+        for view in bundle.d_weights + bundle.d_bias:
+            view.flat[-1] = bad
+            assert not bundle.is_finite()
+            view.flat[-1] = 0.0
+        assert bundle.is_finite()
