@@ -66,6 +66,11 @@ def _net_inputs(features, path, input_dim):
 
 
 def _cmd_ood_eval(args) -> int:
+    stems = [Path(path).stem for path in args.ood_csv]
+    shared = sorted({stem for stem in stems if stems.count(stem) > 1})
+    if shared:  # the results are keyed by stem: one file's would overwrite another's
+        raise ConfigError(f"--ood-csv files must differ in name without the extension; "
+                          f"{', '.join(shared)} names more than one")
     run_dir = Path(args.run_dir)
     config = RunConfig.from_json(run_dir / "config.json")
     model_paths = sorted((run_dir / "models").glob("net*.npz"))

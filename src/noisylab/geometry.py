@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySupportError, ParameterError
+from .nn import in_row_blocks
 
 SAMPLERS = ("uniform", "gaussian", "perturbation", "hybrid")
 
@@ -135,14 +136,27 @@ def sample_candidates(envelope: Envelope, centroids: CentroidSet, features: np.n
     return np.vstack(parts)
 
 
+def _min_squared_distances(block: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    # one centroid at a time through one (rows, d) buffer; np.add.reduce is
+    # `.sum(axis=1)` without its Python wrapper, so each row's sum keeps its bits
+    diff = np.empty_like(block)
+    sq = np.full(len(block), np.inf)
+    for c in centers:
+        np.square(np.subtract(block, c, out=diff), out=diff)
+        np.minimum(sq, np.add.reduce(diff, axis=1), out=sq)
+    return sq
+
+
 def min_centroid_distances(points: np.ndarray, centroids: CentroidSet) -> np.ndarray:
-    points = np.atleast_2d(points)
-    # one centroid at a time, no (n, K, d) temporary; sqrt is monotone, so the
-    # root of the minimum is bit for bit the minimum of the roots
-    sq = np.full(len(points), np.inf)
-    for c in centroids.centers:
-        sq = np.minimum(sq, ((points - c) ** 2).sum(axis=1))
-    return np.sqrt(sq)
+    """Each point's Euclidean distance to its nearest centroid.
+
+    Runs in row blocks (`nn.in_row_blocks`): no (n, K, d) or (n, d)
+    temporary. sqrt is monotone, so the root of the minimum is bit for bit
+    the minimum of the roots.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    sq = in_row_blocks(lambda block: _min_squared_distances(block, centroids.centers), points)
+    return np.sqrt(sq, out=sq)
 
 
 def filter_outliers(candidates: np.ndarray, centroids: CentroidSet,

@@ -160,35 +160,30 @@ def load_model(path) -> nn.DenseNet:
 # OOD scoring
 
 
-SCORE_BLOCK_ROWS = 1024
-
-
 def ood_scores(nets, inputs: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Negated mean energy across networks: higher = more in-distribution.
 
-    The nets run on row blocks of SCORE_BLOCK_ROWS to 2 * SCORE_BLOCK_ROWS - 1
-    rows (an input of fewer rows is one block), so only one block's hidden
-    layers are held at a time. The floor is what keeps the bits: at 1024 rows
-    every layer at least 2 wide has M*N >= 2048, past the M*N = 1200 where
-    OpenBLAS (0.3.31) leaves its small-matrix kernel, and the regular GEMM
-    kernel's rows do not depend on the row count. For nets whose layers are
-    all at least 2 wide the scores therefore equal those of one unblocked pass
-    bit for bit. numpy sends a product with one output column to GEMV, whose
-    sums do depend on the row count, so a net with a 1-wide layer agrees with
-    an unblocked pass only to rounding (about 1e-16 relative).
+    The nets run on row blocks (`nn.in_row_blocks`), so only one block's
+    hidden layers are held at a time; for nets whose layers are all at least
+    2 wide the scores equal those of one unblocked pass bit for bit.
 
     ParameterError if some input rows overflow the nets to a non-finite score.
     """
-    blocks = np.array_split(inputs, max(1, len(inputs) // SCORE_BLOCK_ROWS))
     with np.errstate(over="ignore", invalid="ignore"):
-        e = np.concatenate([np.mean([nn.energies(nn.predict_logits(net, block), temperature)
-                                     for net in nets], axis=0)
-                            for block in blocks])
+        e = nn.in_row_blocks(lambda block: np.mean(
+            [nn.energies(nn.predict_logits(net, block), temperature) for net in nets], axis=0),
+            inputs)
     n_bad = np.count_nonzero(~np.isfinite(e))
     if n_bad:
         raise ParameterError(f"{n_bad} of {len(e)} input rows overflow the nets "
                              "to a non-finite OOD score")
     return -e
+
+
+def _mean_probs(nets, inputs: np.ndarray) -> np.ndarray:
+    """The nets' softmax predictions of inputs, averaged over the nets, in row blocks."""
+    return nn.in_row_blocks(lambda block: np.mean(
+        [nn.softmax(nn.predict_logits(net, block)) for net in nets], axis=0), inputs)
 
 
 def ood_metrics(id_s: np.ndarray, ood_s: np.ndarray) -> dict:
@@ -373,13 +368,22 @@ class Experiment:
     # -- shared helpers ----------------------------------------------------
 
     def _per_sample_gce(self, net) -> np.ndarray:
-        probs = nn.softmax(nn.predict_logits(net, self.view.features))
-        return nn.gce_losses(probs, self.view.noisy_labels, self.config.gce_q)
+        return nn.in_row_blocks(lambda x, y: nn.gce_losses(
+            nn.softmax(nn.predict_logits(net, x)), y, self.config.gce_q),
+            self.view.features, self.view.noisy_labels)
 
     def _test_accuracy(self) -> float:
-        probs = np.mean([nn.softmax(nn.predict_logits(net, self.test_set.features))
-                         for net in self.nets], axis=0)
-        return metrics.accuracy(probs, self.test_set.true_labels)
+        return metrics.accuracy(_mean_probs(self.nets, self.test_set.features),
+                                self.test_set.true_labels)
+
+    def _features(self, net, ids: np.ndarray) -> np.ndarray:
+        """net's extractor features of the training rows ids."""
+        return nn.in_row_blocks(lambda b: nn.predict_features(net, self.view.features[b]), ids)
+
+    def _energies(self, net, ids: np.ndarray) -> np.ndarray:
+        """net's energies of the training rows ids."""
+        return nn.in_row_blocks(lambda b: nn.energies(
+            nn.predict_logits(net, self.view.features[b]), self.config.energy_temperature), ids)
 
     def _weak(self, x):
         return semisup.weak_augment(x, self.feature_std, self.streams["augment"],
@@ -455,8 +459,7 @@ class Experiment:
                    support_fallback=fallback, selection_precision=sel.precision,
                    selection_recall=sel.recall, selection_f1=sel.f1)
         if support.size:
-            row["mean_energy_clean"] = nn.energies(
-                nn.predict_logits(net, self.view.features[support]), cfg.energy_temperature).mean()
+            row["mean_energy_clean"] = self._energies(net, support).mean()
         if geo is not None:
             outliers = geo["outliers"]
             row.update(envelope_log_volume=geo["envelope"].log_volume(),
@@ -479,7 +482,7 @@ class Experiment:
         cfg = self.config
         if cfg.disable_vos or support_ids.size == 0:
             return None
-        feats = nn.predict_features(net, self.view.features[support_ids])
+        feats = self._features(net, support_ids)
         labels = self.view.noisy_labels[support_ids]
         envelope = geometry.estimate_envelope(feats)
         centroids = geometry.class_centroids(feats, labels)
@@ -608,7 +611,7 @@ class Experiment:
     def _export_features(self, epoch, geo):
         out = self.out_dir / "features"
         out.mkdir(exist_ok=True)
-        feats = nn.predict_features(self.nets[0], self.view.features)
+        feats = self._features(self.nets[0], np.arange(len(self.view.features)))
         clean = self.dataset.clean_mask
         d = feats.shape[1]
         with open(out / f"epoch_{epoch:04d}.csv", "w", newline="") as fh:

@@ -214,9 +214,15 @@ def normalize_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return z, degenerate, safe
 
 
+def _as_rows(x) -> np.ndarray:
+    """x as a float64 array of rows; `np.atleast_2d` only for inputs that are not 2-D."""
+    x = np.asarray(x, dtype=np.float64)
+    return x if x.ndim == 2 else np.atleast_2d(x)
+
+
 def forward_batch(net: DenseNet, x: np.ndarray, *, want_logits: bool = True,
                   want_projection: bool = False) -> ForwardCache:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = _as_rows(x)
     cache = _empty_cache(net)
     cache.features = _run_segment(net, x, 0, net.extractor_end, cache)
     if want_logits:
@@ -233,8 +239,7 @@ def predict_logits(net: DenseNet, x: np.ndarray) -> np.ndarray:
 
     Equal, bit for bit, to `forward_batch(net, x).logits`.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return _run_segment(net, x, 0, net.classifier_end, None)
+    return _run_segment(net, _as_rows(x), 0, net.classifier_end, None)
 
 
 def predict_features(net: DenseNet, x: np.ndarray) -> np.ndarray:
@@ -242,14 +247,40 @@ def predict_features(net: DenseNet, x: np.ndarray) -> np.ndarray:
 
     Equal, bit for bit, to `forward_batch(net, x, want_logits=False).features`.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return _run_segment(net, x, 0, net.extractor_end, None)
+    return _run_segment(net, _as_rows(x), 0, net.extractor_end, None)
 
 
 def head_forward(net: DenseNet, features: np.ndarray, cache: ForwardCache | None = None) -> np.ndarray:
     """Classifier logits from feature-space inputs (extractor bypassed)."""
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    return _run_segment(net, features, net.extractor_end, net.classifier_end, cache)
+    return _run_segment(net, _as_rows(features), net.extractor_end, net.classifier_end, cache)
+
+
+#: the least rows of a block of a full-set pass (see `in_row_blocks`)
+SCORE_BLOCK_ROWS = 640
+
+
+def in_row_blocks(fn, *arrays: np.ndarray) -> np.ndarray:
+    """fn(*arrays) for a row-wise fn, run on row blocks and concatenated.
+
+    The arrays are split alike into max(1, n // SCORE_BLOCK_ROWS) blocks of
+    SCORE_BLOCK_ROWS to 2 * SCORE_BLOCK_ROWS - 1 rows, so only one block's
+    temporaries (a net's hidden layers) are held at a time. Fewer than
+    2 * SCORE_BLOCK_ROWS rows are one call of fn on the arrays themselves.
+
+    For nets whose layers are all at least 2 wide, a blocked forward equals
+    one unblocked pass bit for bit. At 640 rows every product has
+    M * N >= 1280, past the M * N = 1200 where OpenBLAS (0.3.31) leaves its
+    small-matrix kernel, and the regular GEMM kernel's rows do not depend on
+    the row count. numpy sends a product with one output column to GEMV,
+    whose sums do depend on it, so on inputs of 2 * SCORE_BLOCK_ROWS rows or
+    more a net with a 1-wide layer agrees with one pass only to rounding
+    (about 1e-16 relative).
+    """
+    n_blocks = len(arrays[0]) // SCORE_BLOCK_ROWS
+    if n_blocks < 2:
+        return fn(*arrays)
+    return np.concatenate([fn(*block) for block in
+                           zip(*(np.array_split(a, n_blocks) for a in arrays))])
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +347,12 @@ def energies(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) where x >= 0, exp(x) / (1 + exp(x)) elsewhere: one
+    exp(-|x|) serves both, and no exp overflows. -|x| is taken as min(x, -x),
+    which keeps the sign of a NaN, as the two exps did."""
+    e = np.exp(np.minimum(x, -x))
+    denom = 1.0 + e
+    return np.where(x >= 0, 1.0 / denom, e / denom)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ is the composition of the step's gradients that `noisylab.nn` replaced,
 kept as an oracle, and `energy_bce_term` the composition of the energy
 term's value and gradient that it replaced. `sgd_step` is the per-layer
 update that `nn.sgd_step` replaced with operations on whole parameter
-vectors.
+vectors, and `sigmoid` the masked two-branch logistic that `nn._sigmoid`
+replaced with one shared exp.
 """
 
 import numpy as np
@@ -136,13 +137,22 @@ def backprop_projection(net, cache, dproj, bundle):
     _backward_segment(net, cache, dfeat, 0, net.extractor_end, bundle)
 
 
+def sigmoid(x):
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def energy_bce_term(logits, sign, temperature):
     """(value, dlogits) of the clamped energy BCE, from `nn.energies` and a
     separate `nn.softmax(logits / T)` for dE/dlogits."""
     e = nn.energies(logits, temperature)
     raw = np.logaddexp(0.0, sign * e)
     clipped = np.minimum(raw, nn.ENERGY_BCE_CAP)
-    d_e = sign * nn._sigmoid(sign * e) * (raw < nn.ENERGY_BCE_CAP) / len(e)
+    d_e = sign * sigmoid(sign * e) * (raw < nn.ENERGY_BCE_CAP) / len(e)
     return float(clipped.mean()), d_e[:, None] * -nn.softmax(logits / temperature)
 
 

@@ -1,8 +1,11 @@
 """Envelope, centroids, candidate samplers, filtering, and the energy BCE loss."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import geometry_oracle
 from noisylab import geometry, nn
 from noisylab.errors import EmptySupportError, ParameterError
 from gradcheck import REL_TOL, finite_difference_grads, max_relative_error
@@ -170,6 +173,33 @@ class TestFilter:
                 expected = np.sqrt((diffs ** 2).sum(axis=2)).min(axis=1)
                 got = geometry.min_centroid_distances(cand, cents)
                 assert np.array_equal(got, expected), (k, d)
+
+    # the block edges of `nn.in_row_blocks`, then inputs of 3 to 15 blocks
+    @pytest.mark.parametrize("rows", [1, 639, 640, 1279, 1280, 2000, 4097, 10_000])
+    def test_min_distances_match_per_centroid_oracle(self, rows):
+        rng = np.random.default_rng(rows)
+        for k in (1, 2, 4, 7):
+            for d in (2, 5, 8, 9, 16, 33):
+                cents = geometry.CentroidSet(np.arange(k), rng.normal(size=(k, d)))
+                cand = rng.normal(size=(rows, d)) * rng.uniform(0.1, 10.0)
+                expected = geometry_oracle.min_centroid_distances(cand, cents.centers)
+                got = geometry.min_centroid_distances(cand, cents)
+                assert got.tobytes() == expected.tobytes(), (k, d)
+
+    # radius 5 keeps about half of the candidates, 1e9 none
+    @pytest.mark.parametrize("radius", [5.0, 1e9])
+    def test_filter_peak_memory_is_the_accepted_rows(self, radius):
+        rng = np.random.default_rng(0)
+        cand = rng.normal(scale=2.0, size=(10_000, 8))
+        cents = geometry.CentroidSet(np.arange(4), rng.normal(size=(4, 8)))
+        tracemalloc.start()
+        try:
+            batch = geometry.filter_outliers(cand, cents, radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a fresh (n, d) array per centroid alone is cand.nbytes
+        assert peak < batch.features.nbytes + 0.4 * cand.nbytes, (peak, batch.n_accepted)
 
     def test_empty_acceptance_allowed(self):
         cents = geometry.CentroidSet(np.array([0]), np.zeros((1, 2)))

@@ -16,12 +16,13 @@ import pytest
 
 import batch_oracle
 import noisylab
-from noisylab import RunConfig, data, nn, run_experiment
+from noisylab import RunConfig, data, metrics, nn, run_experiment
 from noisylab.cli import main as cli_main
 from noisylab.errors import ConfigError
-from noisylab.harness import (REPORT_SCHEMA, SCORE_BLOCK_ROWS, SWEEP_GRIDS, Experiment,
+from noisylab.harness import (REPORT_SCHEMA, SWEEP_GRIDS, Experiment, _mean_probs,
                               build_datasets, evaluate_ood, load_model, mean_of_net_rows,
                               ood_scores, save_model, sweep_variants)
+from noisylab.nn import SCORE_BLOCK_ROWS
 
 SMOKE = dict(n_train=300, n_test=150, warmup_epochs=2, total_epochs=5,
              hidden_dims=(16, 8), ood_n=100, window=2)
@@ -393,10 +394,12 @@ class TestBlockedScores:
         return -np.mean([nn.energies(nn.predict_logits(net, x), temperature)
                          for net in nets], axis=0)
 
-    # the block edges, then inputs of 3 to 97 blocks
+    # the block edges, the edges of the earlier 1024-row blocks, then inputs of 3
+    # to 156 blocks
     @pytest.mark.parametrize("rows", [1, SCORE_BLOCK_ROWS - 1, SCORE_BLOCK_ROWS,
                                       2 * SCORE_BLOCK_ROWS - 1, 2 * SCORE_BLOCK_ROWS,
                                       2 * SCORE_BLOCK_ROWS + 1, 3 * SCORE_BLOCK_ROWS + 1,
+                                      1023, 1024, 2047, 2048, 2049, 3073,
                                       4095, 4096, 8191, 8192, 8193, 12289, 30_000, 100_000])
     def test_equal_to_one_pass_bit_for_bit(self, rows):
         rng = np.random.default_rng(rows)
@@ -442,6 +445,76 @@ class TestBlockedScores:
             tracemalloc.stop()
         assert len(scores) == 20_000
         assert peak < 1.5e6, peak  # an unblocked pass holds every row's 64-wide layers
+
+
+class TestBlockedTrainingPasses:
+    """A run's full-set passes run in row blocks; each equals one unblocked pass."""
+
+    @staticmethod
+    def _experiment(rows, d, k, hidden):
+        return Experiment(RunConfig(n_train=rows, n_test=rows, ood_n=10, input_dim=d,
+                                    n_classes=k, hidden_dims=hidden, projection_dim=4,
+                                    energy_temperature=0.5))
+
+    @staticmethod
+    def _passes(exp, ids):
+        """(blocked, unblocked) results of each full-set pass of exp's training loop."""
+        cfg, view, test = exp.config, exp.view, exp.test_set
+        blocked, unblocked = {}, {}
+        for k, net in enumerate(exp.nets):
+            blocked[f"gce{k}"] = exp._per_sample_gce(net)
+            unblocked[f"gce{k}"] = nn.gce_losses(nn.softmax(nn.predict_logits(
+                net, view.features)), view.noisy_labels, cfg.gce_q)
+            blocked[f"features{k}"] = exp._features(net, ids)
+            unblocked[f"features{k}"] = nn.predict_features(net, view.features[ids])
+            blocked[f"energies{k}"] = exp._energies(net, ids)
+            unblocked[f"energies{k}"] = nn.energies(nn.predict_logits(net, view.features[ids]),
+                                                    cfg.energy_temperature)
+        blocked["test_probs"] = _mean_probs(exp.nets, test.features)
+        unblocked["test_probs"] = np.mean([nn.softmax(nn.predict_logits(net, test.features))
+                                           for net in exp.nets], axis=0)
+        blocked["test_accuracy"] = np.array(exp._test_accuracy())
+        unblocked["test_accuracy"] = np.array(
+            metrics.accuracy(unblocked["test_probs"], test.true_labels))
+        return blocked, unblocked
+
+    # both sides of one and of two blocks, the default n_train, and 6 blocks
+    @pytest.mark.parametrize("rows", [639, 640, 1279, 1280, 2000, 4097])
+    def test_equal_to_one_pass_bit_for_bit(self, rows):
+        rng = np.random.default_rng(rows)
+        # three random shapes, then TestBlockedScores' narrow 2-class net
+        shapes = [(int(rng.integers(2, 10)), int(rng.integers(2, 5)),
+                   tuple(int(h) for h in rng.integers(2, 65, size=rng.integers(1, 3))))
+                  for _ in range(3)] + [(8, 2, (48,))]
+        for d, k, hidden in shapes:
+            exp = self._experiment(rows, d, k, hidden)
+            ids = rng.permutation(rows)  # support ids come in any order
+            blocked, unblocked = self._passes(exp, ids)
+            for name, want in unblocked.items():
+                assert blocked[name].tobytes() == want.tobytes(), (name, d, k, hidden)
+
+    @pytest.mark.parametrize("hidden", [(1,), (64, 1), (1, 64), (8, 1, 8)])
+    def test_one_wide_layer_equal_to_rounding(self, hidden):
+        # as in TestBlockedScores: GEMV's sums depend on the row count
+        for rows in (1280, 4097):
+            exp = self._experiment(rows, 8, 3, hidden)
+            blocked, unblocked = self._passes(exp, np.arange(rows))
+            for name, want in unblocked.items():
+                if name != "test_accuracy":  # an argmax: exact only where no tie is near
+                    assert np.allclose(blocked[name], want, rtol=1e-12, atol=0.0), (name, rows)
+
+    def test_epoch_peak_memory(self):
+        # window=1 gives the first epoch a support, so its geometry runs too
+        exp = Experiment(RunConfig(n_train=20_000, n_test=200, ood_n=10, window=1))
+        tracemalloc.start()
+        try:
+            record = exp.run_epoch(exp.config.warmup_epochs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record["n_support"] > 5000 and record["n_candidates"] == exp.config.n_cand_cap
+        # unblocked passes hold every row's 64-wide hidden layer: 10.24 MB a copy
+        assert peak < 6e6, peak
 
 
 class TestBuildDatasets:
@@ -637,6 +710,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+    # with missing files, a config error shows that no CSV was opened
+    @pytest.mark.parametrize("files_exist", [True, False], ids=["files", "no-files"])
+    def test_ood_csvs_of_one_name_rejected_before_any_read(self, saved_run, tmp_path, capsys,
+                                                           files_exist):
+        # each result is keyed by its file's stem, so one of the two would be lost
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            if files_exist:
+                (tmp_path / sub / "x.csv").write_text(FEATURE_HEADER + "0"
+                                                      + ",1.0" * INPUT_DIM + "\n")
+        capsys.readouterr()
+        rc = cli_main(["ood-eval", "--run-dir", str(saved_run), "--ood-csv",
+                       str(tmp_path / "a" / "x.csv"), str(tmp_path / "b" / "x.csv")])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert "; x names more than one" in captured.err, captured.err
 
     def test_ood_rows_that_overflow_the_nets_exit_code(self, saved_run, tmp_path, capsys):
         # finite cells whose products overflow the nets (-1e308 cells are enough for

@@ -236,6 +236,17 @@ class TestEnergy:
         assert dlogits.tobytes() == want_dlogits.tobytes()
 
 
+class TestSigmoid:
+    @PROPERTY
+    @given(hnp.arrays(np.float64, st.integers(0, 40), elements=st.one_of(
+        st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 1e308, -1e308]),
+        st.floats(-800.0, 800.0))))
+    @example(np.array([np.nan, -np.nan, 0.0, -0.0]))
+    def test_equal_to_masked_branches(self, x):
+        # one exp(-|x|) for both branches keeps the bits of separate exps
+        assert nn._sigmoid(x).tobytes() == loss_oracles.sigmoid(x).tobytes()
+
+
 # entries that tie, signed zeros and -inf, among ordinary values
 ROW_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, -np.inf, 1.0, -1.0]),
                         st.floats(-50.0, 50.0))
