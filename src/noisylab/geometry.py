@@ -87,34 +87,39 @@ def _sample_uniform(envelope: Envelope, n: int, rng: np.random.Generator) -> np.
     return rng.uniform(envelope.low, envelope.high, size=(n, len(envelope.low)))
 
 
-def _sample_gaussian(envelope, centroids, features, labels, n, rng) -> np.ndarray:
+def _sample_gaussian(envelope, centroids, features, labels, out, rng) -> None:
     # per-class Gaussian with diagonal covariance, class counts proportional
-    # to class sizes; samples clipped into the envelope
+    # to class sizes; drawn class by class into out and clipped into the envelope
+    n = len(out)
     counts = np.array([(labels == c).sum() for c in centroids.class_ids], dtype=float)
     alloc = np.floor(n * counts / counts.sum()).astype(int)
     for i in range(n - alloc.sum()):  # distribute the remainder
         alloc[i % len(alloc)] += 1
-    out = []
+    start = 0
     for c, m, n_c in zip(centroids.class_ids, centroids.centers, alloc):
         if n_c == 0:
             continue
         std = features[labels == c].std(axis=0)
-        out.append(rng.normal(m, np.maximum(std, 0.0), size=(n_c, len(m))))
-    cand = np.vstack(out)
-    return np.clip(cand, envelope.low, envelope.high)
+        out[start:start + n_c] = rng.normal(m, np.maximum(std, 0.0), size=(n_c, len(m)))
+        start += n_c
+    np.clip(out, envelope.low, envelope.high, out=out)
 
 
-def _sample_perturbation(envelope, features, n, rng) -> np.ndarray:
-    idx = rng.integers(0, len(features), size=n)
-    scale = PERTURBATION_SCALE * float(envelope.edge_lengths.mean())
-    cand = features[idx] + rng.normal(0.0, 1.0, size=(n, features.shape[1])) * scale
-    return np.clip(cand, envelope.low, envelope.high)
+def _sample_perturbation(envelope, features, out, rng) -> None:
+    idx = rng.integers(0, len(features), size=len(out))
+    np.multiply(rng.normal(0.0, 1.0, size=out.shape),
+                PERTURBATION_SCALE * float(envelope.edge_lengths.mean()), out=out)
+    out += features[idx]  # f + z * s, added as z * s + f
+    np.clip(out, envelope.low, envelope.high, out=out)
 
 
 def sample_candidates(envelope: Envelope, centroids: CentroidSet, features: np.ndarray,
                       labels: np.ndarray, n_candidates: int, strategy: str,
                       rng: np.random.Generator) -> np.ndarray:
-    """Draw outlier candidates inside the envelope by the given strategy."""
+    """Draw outlier candidates inside the envelope by the given strategy.
+
+    Every strategy but uniform fills one preallocated array in place.
+    """
     if n_candidates < 1:
         raise ParameterError("n_candidates must be >= 1")
     if strategy not in SAMPLERS:
@@ -122,18 +127,19 @@ def sample_candidates(envelope: Envelope, centroids: CentroidSet, features: np.n
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if strategy == "uniform":
         return _sample_uniform(envelope, n_candidates, rng)
+    out = np.empty((n_candidates, features.shape[1]))
     if strategy == "gaussian":
-        return _sample_gaussian(envelope, centroids, features, labels, n_candidates, rng)
-    if strategy == "perturbation":
-        return _sample_perturbation(envelope, features, n_candidates, rng)
-    # hybrid: equal thirds, remainder to uniform
-    third = n_candidates // 3
-    n_uni = n_candidates - 2 * third
-    parts = [_sample_uniform(envelope, n_uni, rng)]
-    if third:
-        parts.append(_sample_gaussian(envelope, centroids, features, labels, third, rng))
-        parts.append(_sample_perturbation(envelope, features, third, rng))
-    return np.vstack(parts)
+        _sample_gaussian(envelope, centroids, features, labels, out, rng)
+    elif strategy == "perturbation":
+        _sample_perturbation(envelope, features, out, rng)
+    else:  # hybrid: equal thirds, remainder to uniform
+        third = n_candidates // 3
+        n_uni = n_candidates - 2 * third
+        out[:n_uni] = _sample_uniform(envelope, n_uni, rng)
+        if third:
+            _sample_gaussian(envelope, centroids, features, labels, out[n_uni:n_uni + third], rng)
+            _sample_perturbation(envelope, features, out[n_uni + third:], rng)
+    return out
 
 
 def _min_squared_distances(block: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -469,12 +469,13 @@ class Experiment:
                 row["mean_energy_outlier"] = nn.energies(
                     nn.head_forward(net, outliers.features), cfg.energy_temperature).mean()
 
-        if cfg.dump_selection:
-            self._selection_log[k].append((epoch, peer_losses, w, in_support))
-        if cfg.dump_geometry and geo is not None:
-            self._geometry_log[k].append(_geometry_entry(epoch, geo, cfg.sampler))
-        if k == 0 and cfg.export_features and self.out_dir is not None:
-            self._export_features(epoch, geo)
+        if self.out_dir is not None:  # the dumps are written, and their logs read, only there
+            if cfg.dump_selection:
+                self._selection_log[k].append((epoch, peer_losses, w, in_support))
+            if cfg.dump_geometry and geo is not None:
+                self._geometry_log[k].append(_geometry_entry(epoch, geo, cfg.sampler))
+            if k == 0 and cfg.export_features:
+                self._export_features(epoch, geo)
         return row
 
     def _epoch_geometry(self, net, support_ids):

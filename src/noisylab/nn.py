@@ -8,6 +8,10 @@ the remainder the projection head, whose output is L2-normalized.
 Everything runs in float64. Each loss term is defined once, as a function
 returning its value and its analytic gradient; the test suite checks every
 term and the combined objective against central finite differences.
+
+Gradients compose as vectors: backprop adds into the `GradientBundle` it is
+given, one flat vector, and each weighted term's own bundle g is added to
+the step's gradient as lambda * g.
 """
 
 from __future__ import annotations
@@ -389,52 +393,40 @@ class GradientBundle:
 
 
 def _backward_segment(net: DenseNet, cache: ForwardCache, dout: np.ndarray,
-                      start: int, end: int):
-    """Backprop dout through layers [start, end).
+                      start: int, end: int, bundle: GradientBundle):
+    """Backprop dout through layers [start, end), adding each layer's
+    parameter gradients into bundle.
 
-    Returns ({layer index: (weight gradient, bias gradient)}, gradient
-    w.r.t. the segment's input). The input gradient of layer 0 is never
-    computed (no parameter sits below it), so a segment from layer 0
-    returns None for it.
+    Returns the gradient w.r.t. the segment's input. The input gradient of
+    layer 0 is never computed (no parameter sits below it), so a segment
+    from layer 0 returns None.
     """
-    grads = {}
     for i in reversed(range(start, end)):
         layer = net.layers[i]
         dpre = dout * (cache.preacts[i] > 0.0) if layer.activation == "relu" else dout
-        grads[i] = (dpre.T @ cache.inputs[i], dpre.sum(axis=0))
+        bundle.d_weights[i] += dpre.T @ cache.inputs[i]
+        bundle.d_bias[i] += dpre.sum(axis=0)
         dout = dpre @ layer.weights if i > 0 else None
-    return grads, dout
-
-
-def _add_grads(bundle: GradientBundle, grads: dict, scale: float = 1.0) -> None:
-    """bundle += scale * grads, layer by layer; scales the fresh grads arrays in place."""
-    for i, (dw, db) in grads.items():
-        if scale != 1.0:
-            dw *= scale
-            db *= scale
-        bundle.d_weights[i] += dw
-        bundle.d_bias[i] += db
+    return dout
 
 
 def backprop_logits(net: DenseNet, cache: ForwardCache, dlogits: np.ndarray,
                     bundle: GradientBundle) -> None:
     """Add the parameter gradients of dlogits, through head and extractor, into bundle."""
-    grads, dfeat = _backward_segment(net, cache, dlogits, net.extractor_end, net.classifier_end)
-    _add_grads(bundle, grads)
-    _add_grads(bundle, _backward_segment(net, cache, dfeat, 0, net.extractor_end)[0])
+    dfeat = _backward_segment(net, cache, dlogits, net.extractor_end, net.classifier_end, bundle)
+    _backward_segment(net, cache, dfeat, 0, net.extractor_end, bundle)
 
 
 def backprop_projection(net: DenseNet, cache: ForwardCache, dproj: np.ndarray,
-                        bundle: GradientBundle, scale: float = 1.0) -> None:
-    """Add scale times dproj's parameter gradients, through projector and extractor, into bundle."""
+                        bundle: GradientBundle) -> None:
+    """Add dproj's parameter gradients, through projector and extractor, into bundle."""
     # through z = u / |u|: du = (dz - (dz . z) z) / |u|; degenerate rows are constant
     z = cache.projection
     draw = (dproj - (dproj * z).sum(axis=1, keepdims=True) * z) / cache.projection_norms[:, None]
     if cache.degenerate_rows is not None and cache.degenerate_rows.any():
         draw[cache.degenerate_rows] = 0.0
-    grads, dfeat = _backward_segment(net, cache, draw, net.classifier_end, len(net.layers))
-    _add_grads(bundle, grads, scale)
-    _add_grads(bundle, _backward_segment(net, cache, dfeat, 0, net.extractor_end)[0], scale)
+    dfeat = _backward_segment(net, cache, draw, net.classifier_end, len(net.layers), bundle)
+    _backward_segment(net, cache, dfeat, 0, net.extractor_end, bundle)
 
 
 def _softmax_chain(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
@@ -550,48 +542,32 @@ def gce_loss_and_grads(net: DenseNet, x: np.ndarray, y: np.ndarray, q: float = 0
 def energy_bce_loss_and_grads(net: DenseNet, *, clean_inputs: np.ndarray | None = None,
                               clean_features: np.ndarray | None = None,
                               outlier_features: np.ndarray | None = None,
-                              temperature: float = 1.0, bundle: GradientBundle | None = None,
-                              scale: float = 1.0):
+                              temperature: float = 1.0):
     """Binary cross entropy on energies: real data low, synthetic outliers high.
 
     Clean samples enter either as raw inputs (gradients reach the
     extractor) or as fixed feature vectors (classifier head only).
     Outliers are always feature-space points.
 
-    Adds scale times the parameter gradients into bundle (a fresh one when
-    None) and returns (value, bundle). Every part takes the same head
-    forward and backward pass; clean inputs first run the extractor, and
-    their feature gradient goes on through it. The classifier head's
-    gradient is summed over clean and outlier rows before it is scaled.
+    Returns (value, g), g a fresh bundle of its gradients. The classifier
+    head's gradient sums clean and outlier rows, so a weight lambda, added
+    as `bundle.flat += lambda * g.flat`, scales that sum.
     """
     if clean_inputs is not None and clean_features is not None:
         raise ParameterError("pass clean samples as inputs or features, not both")
-    if bundle is None:
-        bundle = GradientBundle.zeros(net)
-    parts = []  # (head input, sign, cache holding the extractor pass or None)
-    if clean_inputs is not None:
-        cache = forward_batch(net, clean_inputs, want_logits=False)
-        parts.append((cache.features, +1.0, cache))
-    elif clean_features is not None and len(clean_features):
-        parts.append((clean_features, +1.0, None))
-    if outlier_features is not None and len(outlier_features):
-        parts.append((outlier_features, -1.0, None))
-
+    bundle = GradientBundle.zeros(net)
     value = 0.0
-    head = {}  # classifier-head gradients, summed over the parts
-    for features, sign, cache in parts:
-        head_cache = cache if cache is not None else _empty_cache(net)
-        term, dlogits = energy_bce_term(head_forward(net, features, head_cache), sign,
-                                        temperature)
-        value += term
-        grads, dfeat = _backward_segment(net, head_cache, dlogits, net.extractor_end,
-                                         net.classifier_end)
-        for i, (dw, db) in grads.items():
-            head[i] = (head[i][0] + dw, head[i][1] + db) if i in head else (dw, db)
-        if cache is not None:
-            _add_grads(bundle, _backward_segment(net, cache, dfeat, 0, net.extractor_end)[0],
-                       scale)
-    _add_grads(bundle, head, scale)
+    if clean_inputs is not None:
+        cache = forward_batch(net, clean_inputs)
+        value, dlogits = energy_bce_term(cache.logits, +1.0, temperature)
+        backprop_logits(net, cache, dlogits, bundle)
+    for features, sign in ((clean_features, +1.0), (outlier_features, -1.0)):
+        if features is not None and len(features):
+            cache = _empty_cache(net)
+            term, dlogits = energy_bce_term(head_forward(net, features, cache), sign,
+                                            temperature)
+            value += term
+            _backward_segment(net, cache, dlogits, net.extractor_end, net.classifier_end, bundle)
     return value, bundle
 
 
@@ -621,8 +597,9 @@ def _nonempty(a: np.ndarray | None) -> np.ndarray | None:
 def total_loss_and_grads(net: DenseNet, batch: TotalLossBatch):
     """Full training objective; returns (value, per-term dict, gradients).
 
-    Every term's value is reported; a term's gradient is added only when
-    its weight is positive.
+    Every term's value is reported. The logit terms share one backprop;
+    the contrastive and energy terms each have their own bundle g, added as
+    `bundle.flat += lambda * g.flat` only when lambda > 0 (0 * inf is nan).
     """
     terms = dict.fromkeys(LOSS_TERMS, 0.0)
     bundle = GradientBundle.zeros(net)
@@ -653,14 +630,16 @@ def total_loss_and_grads(net: DenseNet, batch: TotalLossBatch):
         terms["contrastive"], dproj = ntxent_term(c_cache.projection,
                                                   batch.contrast_temperature)
         if batch.lambda_cl > 0.0:
-            backprop_projection(net, c_cache, dproj, bundle, batch.lambda_cl)
+            term = GradientBundle.zeros(net)
+            backprop_projection(net, c_cache, dproj, term)
+            bundle.flat += batch.lambda_cl * term.flat
 
     support, outliers = _nonempty(batch.support_inputs), _nonempty(batch.outlier_features)
     if support is not None or outliers is not None:
-        # a zero weight sends the gradients to a throwaway bundle: 0 * inf would be nan
-        terms["energy"], _ = energy_bce_loss_and_grads(
-            net, clean_inputs=support, outlier_features=outliers, temperature=batch.temperature,
-            bundle=bundle if batch.lambda_energy > 0.0 else None, scale=batch.lambda_energy)
+        terms["energy"], term = energy_bce_loss_and_grads(
+            net, clean_inputs=support, outlier_features=outliers, temperature=batch.temperature)
+        if batch.lambda_energy > 0.0:
+            bundle.flat += batch.lambda_energy * term.flat
 
     value = (terms["labeled"] + batch.lambda_u * terms["unlabeled"]
              + batch.lambda_reg * terms["prior"] + batch.lambda_cl * terms["contrastive"]

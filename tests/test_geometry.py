@@ -118,6 +118,38 @@ class TestSamplers:
         assert len(cand) == 500
         assert ((cand >= env.low) & (cand <= env.high)).all()
 
+    @pytest.mark.parametrize("strategy", geometry.SAMPLERS)
+    def test_same_bytes_as_stacked_copy_oracle(self, strategy):
+        # (classes, width, candidates): fewer candidates than classes leaves a
+        # class without draws, and under three gives hybrid no thirds
+        for seed in range(4):
+            for k, d, n in ((2, 3, 500), (4, 8, 1001), (5, 2, 7), (3, 16, 2), (1, 4, 64)):
+                rng = np.random.default_rng((seed, k, d))
+                labels = np.repeat(np.arange(k), rng.integers(1, 40, size=k))
+                feats = rng.normal(size=(len(labels), d)) + labels[:, None]
+                env = geometry.estimate_envelope(feats)
+                cents = geometry.class_centroids(feats, labels)
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = geometry.sample_candidates(env, cents, feats, labels, n, strategy, got_rng)
+                want = geometry_oracle.sample_candidates(env, cents, feats, labels, n, strategy,
+                                                         want_rng)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (seed, k, d)
+                assert got_rng.random() == want_rng.random()  # the same draws were taken
+
+    def test_gaussian_peak_memory_near_its_output(self):
+        rng = np.random.default_rng(0)
+        labels = np.repeat(np.arange(4), 250)
+        feats = rng.normal(size=(1000, 8)) + labels[:, None]
+        env, cents = geometry.estimate_envelope(feats), geometry.class_centroids(feats, labels)
+        tracemalloc.start()
+        try:
+            cand = geometry.sample_candidates(env, cents, feats, labels, 10_000, "gaussian", rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # stacked per-class draws and a clipped copy peaked at 3.2 times the output
+        assert peak < 1.5 * cand.nbytes, peak / cand.nbytes
+
     def test_unknown_strategy_rejected(self):
         env, cents, feats, labels, _ = self._setup()
         with pytest.raises(ParameterError):

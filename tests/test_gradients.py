@@ -42,7 +42,8 @@ def test_energy_bce_head_only_gradients():
 
 def test_energy_bce_head_only_matches_oracle_bitwise():
     # clean features and outliers share one head loop; each part as its own
-    # head pass into a scratch bundle, added with add_scaled, gives the same bits
+    # head pass into a scratch bundle, added with add_scaled, gives the same
+    # bytes as the term's bundle added as one weighted vector
     for seed in range(50):
         rng = np.random.default_rng((seed, 99))
         net, _ = _random_step(rng, "all-weights")
@@ -52,14 +53,14 @@ def test_energy_bce_head_only_matches_oracle_bitwise():
         start = nn.GradientBundle([rng.normal(size=l.weights.shape) for l in net.layers],
                                   [rng.normal(size=l.bias.shape) for l in net.layers])
         bundle = copy.deepcopy(start)
-        value, _ = nn.energy_bce_loss_and_grads(
-            net, clean_features=clean, outlier_features=outliers, temperature=temperature,
-            bundle=bundle, scale=scale)
+        value, term = nn.energy_bce_loss_and_grads(
+            net, clean_features=clean, outlier_features=outliers, temperature=temperature)
+        bundle.flat += scale * term.flat
         o_value, o_bundle = loss_oracles.energy_bce_head_only(net, clean, outliers, temperature)
         loss_oracles.add_scaled(start, o_bundle, scale)
         assert value == o_value
         for got, want in zip(bundle.d_weights + bundle.d_bias, start.d_weights + start.d_bias):
-            assert np.array_equal(got, want), f"seed {seed}"
+            assert got.tobytes() == want.tobytes(), f"seed {seed}"
 
 
 def test_total_term_weights_zero_reduce_to_labeled_ce():
@@ -139,8 +140,8 @@ STEP_CASES = ["all-weights", "lambda_u", "lambda_cl", "lambda_energy", "no-unlab
 
 @pytest.mark.parametrize("case", STEP_CASES)
 def test_step_gradients_match_scratch_bundle_oracle(case):
-    # one bundle per step, each term scaled as it is added, must hold exactly
-    # what per-term scratch bundles plus add_scaled gave
+    # each weighted term added to the step's bundle as one vector must give
+    # the bytes, signed zeros included, of per-term scratch bundles plus add_scaled
     for seed in range(25):
         net, batch = _random_step(np.random.default_rng((seed, STEP_CASES.index(case))), case)
         if case == "zero-norm-projection":
@@ -151,4 +152,4 @@ def test_step_gradients_match_scratch_bundle_oracle(case):
         assert value == o_value and terms == o_terms
         for got, want in zip(bundle.d_weights + bundle.d_bias,
                              o_bundle.d_weights + o_bundle.d_bias):
-            assert np.array_equal(got, want), f"seed {seed}"
+            assert got.tobytes() == want.tobytes(), f"seed {seed}"

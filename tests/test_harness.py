@@ -39,6 +39,14 @@ def widened(net):
     return nn.DenseNet([wider] + net.layers[1:], net.extractor_end, net.classifier_end)
 
 
+def _child_env():
+    """This environment with noisylab's sources first on PYTHONPATH, for a child
+    interpreter (pytest's `pythonpath` setting reaches only the test process)."""
+    src = str(Path(noisylab.__file__).resolve().parents[1])
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.fixture(scope="module")
 def smoke_report():
     return run_experiment(RunConfig(seed=3, **SMOKE))
@@ -352,6 +360,17 @@ class TestOutputs:
         header = feature_files[0].read_text().splitlines()[0]
         assert header.startswith("id,split,f0")
 
+    def test_dump_logs_kept_only_with_an_output_directory(self, tmp_path):
+        # only the output files read the dump logs, so a run without a
+        # directory keeps no epoch's losses, weights or geometry
+        cfg = RunConfig(seed=8, dump_selection=True, dump_geometry=True, **SMOKE)
+        kept, dropped = Experiment(cfg), Experiment(cfg)
+        kept.run(tmp_path / "run")
+        dropped.run()
+        assert all(kept._selection_log) and all(kept._geometry_log)
+        assert dropped._selection_log == [[], []] and dropped._geometry_log == [[], []]
+        assert dropped.report.canonical_json() == kept.report.canonical_json()
+
     def test_report_file_byte_identical_across_runs(self, tmp_path):
         cfg = RunConfig(seed=31, **SMOKE)
         run_experiment(cfg, out_dir=tmp_path / "a")
@@ -641,12 +660,9 @@ class TestCli:
         cfg.write_text(json.dumps({"n_train": 200, "n_test": 60, "ood_n": 40,
                                    "warmup_epochs": 2, "total_epochs": 5, "lr": 1000}))
         # a fresh interpreter, since pytest would collect numpy's warnings from stderr
-        src = str(Path(noisylab.__file__).resolve().parents[1])
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "noisylab.cli", "train", "--config", str(cfg),
                                "--out-dir", str(tmp_path / "r")],
-                              env=env, capture_output=True, text=True, timeout=300)
+                              env=_child_env(), capture_output=True, text=True, timeout=300)
         err = proc.stderr
         assert proc.returncode == 3
         assert err.count("\n") == 1, err  # no numpy warning before the message
@@ -811,6 +827,6 @@ class TestCli:
 
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "noisylab.cli", "--help"],
-                              capture_output=True, text=True)
+                              env=_child_env(), capture_output=True, text=True)
         assert proc.returncode == 0
         assert "gen-data" in proc.stdout
