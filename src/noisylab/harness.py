@@ -67,19 +67,6 @@ def _steps_stop_on_fp_error(net: int, epoch: int, batch_now):
                             epoch=epoch, batch=batch_now()) from exc
 
 
-def _view_predictions(net, block: np.ndarray, n_views: int) -> list[np.ndarray]:
-    """net's softmax predictions of each of the n_views equal views stacked in block.
-
-    One forward for the block, unless each view is a single row: numpy
-    multiplies a single row by GEMV, whose sums differ from a GEMM's.
-    """
-    rows = len(block) // n_views
-    if rows == 1:
-        return [nn.softmax(nn.predict_logits(net, block[i:i + 1])) for i in range(n_views)]
-    probs = nn.softmax(nn.predict_logits(net, block))
-    return [probs[i * rows:(i + 1) * rows] for i in range(n_views)]
-
-
 @contextmanager
 def _within_numpy_limits():
     """Run a block whose arrays the config sizes and scales: overflow to inf
@@ -557,15 +544,14 @@ class Experiment:
         all_x = self._weak(np.vstack([xb, xb] + [ub] * n_u_views))
         n_lab = 2 * len(xb)
 
-        # each peer runs once on the labeled views and once on the unlabeled ones,
-        # and the predictions keep the (peer, view) order. One block of all views
-        # would move bits: OpenBLAS computes the 64 -> 8 layer with its small-matrix
-        # kernel only up to M * N = 1200, 150 rows of width 8.
+        # each peer runs once on all views; its predictions are cut into views,
+        # in (peer, view) order
         x_preds, u_preds = [], []
+        cuts = np.cumsum([len(xb), len(xb)] + [len(ub)] * n_u_views)[:-1]
         for peer in self.nets:
-            x_preds += _view_predictions(peer, all_x[:n_lab], 2)
-            if n_u_views:
-                u_preds += _view_predictions(peer, all_x[n_lab:], n_u_views)
+            views = np.split(nn.softmax(nn.predict_logits(peer, all_x)), cuts)
+            x_preds += views[:2]
+            u_preds += views[2:]
         tx = semisup.refine_labels(self.view.noisy_labels[xb_ids], w[xb_ids], x_preds,
                                    cfg.n_classes, cfg.sharpen_temperature)
         targets = [tx, tx]

@@ -9,9 +9,9 @@ Everything runs in float64. Each loss term is defined once, as a function
 returning its value and its analytic gradient; the test suite checks every
 term and the combined objective against central finite differences.
 
-Gradients compose as vectors: backprop adds into the `GradientBundle` it is
-given, one flat vector, and each weighted term's own bundle g is added to
-the step's gradient as lambda * g.
+A training step is one pass: the extractor and each head run once, each
+weighted term's upstream gradient is scaled by its lambda, and backprop
+adds every parameter gradient into one flat `GradientBundle`.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def _init_layer(in_dim, out_dim, activation, rng):
 
 @dataclass
 class ForwardCache:
-    """Per-layer inputs and pre-activations kept for backprop."""
+    """Per-layer inputs and pre-activations kept for backprop, which consumes them."""
 
     inputs: list[np.ndarray | None]
     preacts: list[np.ndarray | None]
@@ -232,10 +232,15 @@ def forward_batch(net: DenseNet, x: np.ndarray, *, want_logits: bool = True,
     if want_logits:
         cache.logits = _run_segment(net, cache.features, net.extractor_end, net.classifier_end, cache)
     if want_projection:
-        raw = _run_segment(net, cache.features, net.classifier_end, len(net.layers), cache)
-        cache.projection_raw = raw
-        cache.projection, cache.degenerate_rows, cache.projection_norms = normalize_rows(raw)
+        _project(net, cache.features, cache)
     return cache
+
+
+def _project(net: DenseNet, features: np.ndarray, cache: ForwardCache) -> None:
+    """The projector on features, its raw and unit outputs kept in cache."""
+    raw = _run_segment(net, features, net.classifier_end, len(net.layers), cache)
+    cache.projection_raw = raw
+    cache.projection, cache.degenerate_rows, cache.projection_norms = normalize_rows(raw)
 
 
 def predict_logits(net: DenseNet, x: np.ndarray) -> np.ndarray:
@@ -395,7 +400,8 @@ class GradientBundle:
 def _backward_segment(net: DenseNet, cache: ForwardCache, dout: np.ndarray,
                       start: int, end: int, bundle: GradientBundle):
     """Backprop dout through layers [start, end), adding each layer's
-    parameter gradients into bundle.
+    parameter gradients into bundle and consuming its cached arrays (a ReLU
+    layer's gradient is written over its pre-activations).
 
     Returns the gradient w.r.t. the segment's input. The input gradient of
     layer 0 is never computed (no parameter sits below it), so a segment
@@ -403,10 +409,12 @@ def _backward_segment(net: DenseNet, cache: ForwardCache, dout: np.ndarray,
     """
     for i in reversed(range(start, end)):
         layer = net.layers[i]
-        dpre = dout * (cache.preacts[i] > 0.0) if layer.activation == "relu" else dout
-        bundle.d_weights[i] += dpre.T @ cache.inputs[i]
-        bundle.d_bias[i] += dpre.sum(axis=0)
-        dout = dpre @ layer.weights if i > 0 else None
+        if layer.activation == "relu":
+            dout = np.multiply(dout, cache.preacts[i] > 0.0, out=cache.preacts[i])
+        bundle.d_weights[i] += dout.T @ cache.inputs[i]
+        bundle.d_bias[i] += dout.sum(axis=0)
+        cache.inputs[i] = cache.preacts[i] = None
+        dout = dout @ layer.weights if i > 0 else None
     return dout
 
 
@@ -417,16 +425,16 @@ def backprop_logits(net: DenseNet, cache: ForwardCache, dlogits: np.ndarray,
     _backward_segment(net, cache, dfeat, 0, net.extractor_end, bundle)
 
 
-def backprop_projection(net: DenseNet, cache: ForwardCache, dproj: np.ndarray,
-                        bundle: GradientBundle) -> None:
-    """Add dproj's parameter gradients, through projector and extractor, into bundle."""
+def _backward_projection(net: DenseNet, cache: ForwardCache, dproj: np.ndarray,
+                         bundle: GradientBundle) -> np.ndarray:
+    """Add dproj's projector gradients into bundle; returns the gradient
+    w.r.t. the projector's input features."""
     # through z = u / |u|: du = (dz - (dz . z) z) / |u|; degenerate rows are constant
     z = cache.projection
     draw = (dproj - (dproj * z).sum(axis=1, keepdims=True) * z) / cache.projection_norms[:, None]
     if cache.degenerate_rows is not None and cache.degenerate_rows.any():
         draw[cache.degenerate_rows] = 0.0
-    dfeat = _backward_segment(net, cache, draw, net.classifier_end, len(net.layers), bundle)
-    _backward_segment(net, cache, dfeat, 0, net.extractor_end, bundle)
+    return _backward_segment(net, cache, draw, net.classifier_end, len(net.layers), bundle)
 
 
 def _softmax_chain(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
@@ -496,14 +504,15 @@ def ntxent_term(z: np.ndarray, temperature: float):
     sims = z @ z.T
     sims /= temperature
     sims.flat[::m + 1] = -np.inf  # the diagonal
+    pos = np.arange(m) ^ 1  # partner index within each pair
+    pos_sims = sims[np.arange(m), pos]
     row_max = _row_max(sims)
-    dsims = sims - row_max
-    np.exp(dsims, out=dsims)
+    sims -= row_max
+    dsims = np.exp(sims, out=sims)  # in place: the similarities are not read again
     denom = dsims.sum(axis=1, keepdims=True)
     dsims /= denom  # row-stochastic attention, zero diagonal
-    pos = np.arange(m) ^ 1  # partner index within each pair
     log_denom = np.log(denom[:, 0]) + row_max[:, 0]
-    value = float(np.add.reduce(-sims[np.arange(m), pos] + log_denom) / m)
+    value = float(np.add.reduce(-pos_sims + log_denom) / m)
     dsims /= m
     dsims[np.arange(m), pos] -= 1.0 / m
     dz = (dsims + dsims.T) @ z
@@ -539,28 +548,18 @@ def gce_loss_and_grads(net: DenseNet, x: np.ndarray, y: np.ndarray, q: float = 0
     return value, bundle
 
 
-def energy_bce_loss_and_grads(net: DenseNet, *, clean_inputs: np.ndarray | None = None,
-                              clean_features: np.ndarray | None = None,
+def energy_bce_loss_and_grads(net: DenseNet, *, clean_features: np.ndarray | None = None,
                               outlier_features: np.ndarray | None = None,
                               temperature: float = 1.0):
-    """Binary cross entropy on energies: real data low, synthetic outliers high.
+    """Binary cross entropy on the energies of feature-space points: clean
+    samples low, synthetic outliers high. Only the classifier head gets
+    gradients.
 
-    Clean samples enter either as raw inputs (gradients reach the
-    extractor) or as fixed feature vectors (classifier head only).
-    Outliers are always feature-space points.
-
-    Returns (value, g), g a fresh bundle of its gradients. The classifier
-    head's gradient sums clean and outlier rows, so a weight lambda, added
-    as `bundle.flat += lambda * g.flat`, scales that sum.
+    Returns (value, g), g a fresh bundle of its gradients, whose head
+    gradient sums clean and outlier rows.
     """
-    if clean_inputs is not None and clean_features is not None:
-        raise ParameterError("pass clean samples as inputs or features, not both")
     bundle = GradientBundle.zeros(net)
     value = 0.0
-    if clean_inputs is not None:
-        cache = forward_batch(net, clean_inputs)
-        value, dlogits = energy_bce_term(cache.logits, +1.0, temperature)
-        backprop_logits(net, cache, dlogits, bundle)
     for features, sign in ((clean_features, +1.0), (outlier_features, -1.0)):
         if features is not None and len(features):
             cache = _empty_cache(net)
@@ -595,51 +594,56 @@ def _nonempty(a: np.ndarray | None) -> np.ndarray | None:
 
 
 def total_loss_and_grads(net: DenseNet, batch: TotalLossBatch):
-    """Full training objective; returns (value, per-term dict, gradients).
+    """Full training objective in one pass; returns (value, per-term dict, gradients).
 
-    Every term's value is reported. The logit terms share one backprop;
-    the contrastive and energy terms each have their own bundle g, added as
-    `bundle.flat += lambda * g.flat` only when lambda > 0 (0 * inf is nan).
+    The extractor runs on the labeled, unlabeled, support and contrast rows
+    stacked, the classifier head on the main and support features with the
+    outliers appended, the projector on the contrast features. Each term's
+    upstream gradient is scaled by its lambda, only when lambda > 0 (0 * inf
+    is nan), before one backprop into one bundle. Every term's value is
+    reported.
     """
     terms = dict.fromkeys(LOSS_TERMS, 0.0)
-    bundle = GradientBundle.zeros(net)
-
     n_l = len(batch.labeled_inputs)
     if n_l == 0:
         raise ShapeError("labeled part of the batch must be nonempty")
-    unlabeled = _nonempty(batch.unlabeled_inputs)
-    x_all = (batch.labeled_inputs if unlabeled is None
-             else np.vstack([batch.labeled_inputs, unlabeled]))
-    cache = forward_batch(net, x_all)
-    probs = softmax(cache.logits)
+    unlabeled, support = _nonempty(batch.unlabeled_inputs), _nonempty(batch.support_inputs)
+    views, outliers = _nonempty(batch.contrast_views), _nonempty(batch.outlier_features)
+    n_main = n_l + (len(unlabeled) if unlabeled is not None else 0)
+    n_head = n_main + (len(support) if support is not None else 0)
+    rows = [a for a in (batch.labeled_inputs, unlabeled, support, views) if a is not None]
+    cache = forward_batch(net, np.vstack(rows), want_logits=False)
+    head_in = cache.features[:n_head]
+    logits = head_forward(net, head_in if outliers is None else np.vstack([head_in, outliers]),
+                          cache)
+    probs = softmax(logits[:n_main])
 
-    dlogits = np.zeros_like(probs)
+    dlogits = np.zeros_like(logits)
     terms["labeled"], dlogits[:n_l] = soft_ce_term(probs[:n_l], batch.labeled_targets)
     if unlabeled is not None:
         terms["unlabeled"], d_u = mse_term(probs[n_l:], batch.unlabeled_targets)
         if batch.lambda_u > 0.0:
-            dlogits[n_l:] += batch.lambda_u * d_u
+            dlogits[n_l:n_main] += batch.lambda_u * d_u
     terms["prior"], d_prior = prior_kl_term(probs)
     if batch.lambda_reg > 0.0:
-        dlogits += batch.lambda_reg * d_prior
-    backprop_logits(net, cache, dlogits, bundle)
+        dlogits[:n_main] += batch.lambda_reg * d_prior
+    for start, stop, sign in ((n_main, n_head, +1.0), (n_head, len(logits), -1.0)):
+        if stop > start:  # support rows low, outliers high
+            term, d_e = energy_bce_term(logits[start:stop], sign, batch.temperature)
+            terms["energy"] += term
+            if batch.lambda_energy > 0.0:
+                dlogits[start:stop] = batch.lambda_energy * d_e
 
-    views = _nonempty(batch.contrast_views)
+    bundle = GradientBundle.zeros(net)
+    dfeat = _backward_segment(net, cache, dlogits, net.extractor_end, net.classifier_end,
+                              bundle)[:n_head]
     if views is not None:
-        c_cache = forward_batch(net, views, want_logits=False, want_projection=True)
-        terms["contrastive"], dproj = ntxent_term(c_cache.projection,
-                                                  batch.contrast_temperature)
-        if batch.lambda_cl > 0.0:
-            term = GradientBundle.zeros(net)
-            backprop_projection(net, c_cache, dproj, term)
-            bundle.flat += batch.lambda_cl * term.flat
-
-    support, outliers = _nonempty(batch.support_inputs), _nonempty(batch.outlier_features)
-    if support is not None or outliers is not None:
-        terms["energy"], term = energy_bce_loss_and_grads(
-            net, clean_inputs=support, outlier_features=outliers, temperature=batch.temperature)
-        if batch.lambda_energy > 0.0:
-            bundle.flat += batch.lambda_energy * term.flat
+        _project(net, cache.features[n_head:], cache)
+        terms["contrastive"], dproj = ntxent_term(cache.projection, batch.contrast_temperature)
+        d_views = (_backward_projection(net, cache, batch.lambda_cl * dproj, bundle)
+                   if batch.lambda_cl > 0.0 else np.zeros((len(views), net.feature_dim)))
+        dfeat = np.vstack([dfeat, d_views])
+    _backward_segment(net, cache, dfeat, 0, net.extractor_end, bundle)
 
     value = (terms["labeled"] + batch.lambda_u * terms["unlabeled"]
              + batch.lambda_reg * terms["prior"] + batch.lambda_cl * terms["contrastive"]

@@ -3,7 +3,8 @@
 Per-sample losses (min-max normalized to [0, 1]) are modeled by a
 two-component 1-D Gaussian mixture fit with EM. Responsibilities are
 held as a (2, n) array, one row per component, so no step reduces over
-the 2-wide axis. The posterior of the small-mean component (row
+the 2-wide axis, and the M step sums each row with numpy's pairwise
+`.sum(axis=1)`. The posterior of the small-mean component (row
 `small_idx`) is the per-sample clean probability; thresholding
 it splits the dataset, and a per-sample count of consecutive clean
 epochs keeps only samples that stayed on the clean side for the last
@@ -66,19 +67,6 @@ def _sq_diff(x: np.ndarray, means) -> np.ndarray:
     return np.square(diff, out=diff)
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Sums along each row of a (2, n) array, added left to right.
-
-    They add in the order of a column sum of the (n, 2) layout, so fits
-    keep every bit; `np.cumsum(a, axis=1)[:, -1]` gives the same sums.
-    `np.add.reduce` (and so `.sum()`) adds pairwise, but numpy reduces
-    `subtract` left to right in a register: x - (-y) is exactly x + y,
-    and -0.0 is the exact identity of addition, so each partial sum here
-    equals the running sum's, without the cumsum's (2, n) output.
-    """
-    return np.subtract.reduce(-a, axis=1, initial=-0.0)
-
-
 def fit_gmm_1d(losses, max_iters: int = 100, tol: float = 1e-6) -> Gmm1d:
     """EM fit from a deterministic start.
 
@@ -101,12 +89,14 @@ def fit_gmm_1d(losses, max_iters: int = 100, tol: float = 1e-6) -> Gmm1d:
 
     resp, ll = _e_step(_sq_diff(x, means), variances, weights)
     history = [ll]
+    work = np.empty_like(resp)  # the M step's products: fresh ones raise a run's peak RSS
     for _ in range(max_iters):
         # M step, then the E step of the new parameters, which also scores them
-        counts = np.maximum(_row_sums(resp), 1e-300)
-        means = _row_sums(resp * x) / counts
+        counts = np.maximum(resp.sum(axis=1), 1e-300)
+        means = np.multiply(resp, x, out=work).sum(axis=1) / counts
         sq_diff = _sq_diff(x, means)
-        variances = np.maximum(_row_sums(resp * sq_diff) / counts, VARIANCE_FLOOR)
+        variances = np.multiply(resp, sq_diff, out=work).sum(axis=1) / counts
+        variances = np.maximum(variances, VARIANCE_FLOOR)
         weights = counts / len(x)
 
         resp, ll = _e_step(sq_diff, variances, weights)

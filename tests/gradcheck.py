@@ -107,7 +107,8 @@ def projection_term_loss(net, views, term):
     cache = nn.forward_batch(net, views, want_logits=False, want_projection=True)
     value, dproj = term(cache.projection)
     bundle = nn.GradientBundle.zeros(net)
-    nn.backprop_projection(net, cache, dproj, bundle)
+    dfeat = nn._backward_projection(net, cache, dproj, bundle)  # the training step's path
+    nn._backward_segment(net, cache, dfeat, 0, net.extractor_end, bundle)
     return value, bundle
 
 
@@ -148,15 +149,17 @@ def sample_config(kind, seed, q=0.7, temperature=1.0, contrast_temperature=0.5):
             return net, {"views": views}, lambda: projection_term_loss(
                 net, views, lambda z: nn.ntxent_term(z, contrast_temperature))
         if kind == "energy_bce":
-            m = int(rng.integers(1, 5))
-            outliers = rng.normal(size=(m, net.feature_dim))
-            if not (_preacts_clear_of_kinks(net, [x])
-                    and _energies_unsaturated(net, x, temperature, True)
+            # the feature mode, on extractor features as the support set's are;
+            # the `total` kind checks the term through the extractor
+            clean = nn.predict_features(net, x)
+            outliers = rng.normal(size=(int(rng.integers(1, 5)), net.feature_dim))
+            if not (_energies_unsaturated(net, clean, temperature, False)
                     and _energies_unsaturated(net, outliers, temperature, False)):
                 continue
-            return net, {"clean_inputs": x, "outlier_features": outliers}, \
+            return net, {"clean_features": clean, "outlier_features": outliers}, \
                 lambda: nn.energy_bce_loss_and_grads(
-                    net, clean_inputs=x, outlier_features=outliers, temperature=temperature)
+                    net, clean_features=clean, outlier_features=outliers,
+                    temperature=temperature)
         if kind == "total":
             n_u = int(rng.integers(1, 4))
             u = rng.normal(size=(n_u, net.input_dim))

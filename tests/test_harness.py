@@ -151,15 +151,18 @@ class TestWarmup:
         assert all(np.array_equal(pa, pb) for pa, pb in zip(*params))
 
 
-def same_bits(a, b) -> bool:
+def within_rounding(a, b, rtol=1e-12) -> bool:
+    """None alike, or equal shapes whose entries agree within rtol relative."""
     if a is None or b is None:
         return a is b
     a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a.shape == b.shape and bool(np.allclose(a, b, rtol=rtol, atol=0.0))
 
 
 class TestBuildBatch:
-    def test_matches_per_view_oracle_bit_for_bit(self):
+    def test_matches_per_view_oracle_to_rounding(self):
+        # one forward per peer over all views reorders the per-view oracle's
+        # sums and draws nothing else: fields within 1e-12, streams equal
         cfg = RunConfig(seed=4, n_train=300, n_test=60, ood_n=40)
         assert (cfg.batch_size, cfg.n_aug, len(cfg.hidden_dims)) == (64, 2, 2)
         exp, ref = Experiment(cfg), Experiment(cfg)
@@ -177,7 +180,8 @@ class TestBuildBatch:
             got = exp._build_batch(*args)
             want = batch_oracle.build_batch(ref, *args)
             for f in dataclasses.fields(nn.TotalLossBatch):
-                assert same_bits(getattr(got, f.name), getattr(want, f.name)), (step, f.name)
+                assert within_rounding(getattr(got, f.name), getattr(want, f.name)), \
+                    (step, f.name)
             for name in ("augment", "mixup", "contrast", "energy_draw"):
                 assert (exp.streams[name].bit_generator.state
                         == ref.streams[name].bit_generator.state), (step, name)
