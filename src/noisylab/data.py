@@ -248,7 +248,9 @@ def read_features_csv(path) -> np.ndarray:
 
 
 def _read_csv(path, lead: tuple, int_lead: bool) -> list:
-    """The `lead` columns and the (n, width) feature matrix, each C-contiguous.
+    """The `lead` columns and the (n, width) feature matrix: field views of the
+    one table numpy parses, so no column is copied and each feature row is
+    contiguous (the whole matrix too when no lead column is kept).
 
     The header is split with `csv` and gives the width; numpy's C reader
     parses the body straight from the open file, one line at a time, so
@@ -295,7 +297,7 @@ def _parse_csv(path, lead: tuple, int_lead: bool) -> list:
     if len(table) != n_lines or not np.isfinite(table["features"]).all():
         raise _bad_line_error(path, len(lead), int_lead, width,
                               f"{len(table)} rows read from {n_lines} lines")
-    return [np.ascontiguousarray(table[name]) for name in table.dtype.names]
+    return [table[name] for name in table.dtype.names]
 
 
 def _bad_line_error(path, n_lead: int, int_lead: bool, width: int,

@@ -43,14 +43,8 @@ class Envelope:
 
 @dataclass
 class CentroidSet:
-    class_ids: np.ndarray  # (c,)
-    centers: np.ndarray  # (c, d)
-
-    def center_for(self, class_id: int) -> np.ndarray:
-        idx = np.nonzero(self.class_ids == class_id)[0]
-        if len(idx) == 0:
-            raise KeyError(f"no centroid for class {class_id}")
-        return self.centers[idx[0]]
+    class_ids: np.ndarray  # (c,), sorted as np.unique sorts them
+    centers: np.ndarray  # (c, d), row i the centroid of class_ids[i]
 
 
 @dataclass

@@ -55,19 +55,6 @@ def make_stream(master: int, name: str) -> np.random.Generator:
 
 
 @contextmanager
-def _steps_stop_on_fp_error(net: int, epoch: int, batch_now):
-    """Run one net-epoch's SGD steps with numpy's divide, overflow and invalid
-    errors raised, not warned about: the first one stops the run as a
-    TrainingError that names the epoch and `batch_now()`, the step it hit."""
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise TrainingError(f"floating-point error (net {net}): {exc}",
-                            epoch=epoch, batch=batch_now()) from exc
-
-
-@contextmanager
 def _within_numpy_limits():
     """Run a block whose arrays the config sizes and scales: overflow to inf
     (FloatingPointError, OverflowError), numpy's array dimension limit
@@ -382,32 +369,59 @@ class Experiment:
             (self.config.strong_scale_low, self.config.strong_scale_high),
             self.config.strong_dropout)
 
+    # -- SGD steps ---------------------------------------------------------
+
+    def _sgd_steps(self, k: int, epoch: int, batches, loss_and_grads, terms=()) -> dict:
+        """Net k's SGD steps, one per batch, on `loss_and_grads(net, batch)`: the loss,
+        a dict holding its `terms`, and the gradient bundle. numpy's divide,
+        overflow and invalid errors raise, and the first of them or a non-finite
+        loss or gradient stops the run with a TrainingError naming the epoch and
+        step. Returns the mean loss ("loss_total"), each term's mean ("loss_<term>")
+        and the first step's terms ("first_batch_terms")."""
+        cfg = self.config
+        sums = dict.fromkeys(("loss_total",) + tuple(f"loss_{t}" for t in terms), 0.0)
+        first_terms = None
+        n_steps = 0
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                for batch in batches:
+                    value, step_terms, bundle = loss_and_grads(self.nets[k], batch)
+                    if not np.isfinite(value) or not bundle.is_finite():
+                        raise FloatingPointError("non-finite loss or gradient")
+                    self.opt_states[k] = nn.sgd_step(self.nets[k], bundle, cfg.lr,
+                                                     cfg.weight_decay, cfg.momentum,
+                                                     self.opt_states[k])
+                    if first_terms is None:
+                        first_terms = step_terms
+                    sums["loss_total"] += value
+                    for t in terms:
+                        sums[f"loss_{t}"] += step_terms[t]
+                    n_steps += 1
+        except FloatingPointError as exc:
+            raise TrainingError(f"floating-point error (net {k}): {exc}", epoch=epoch,
+                                batch=n_steps) from exc
+        row = {key: total / max(n_steps, 1) for key, total in sums.items()}
+        row["first_batch_terms"] = first_terms
+        return row
+
     # -- warm-up -----------------------------------------------------------
 
     def warmup(self):
         """Train every network on all noisy data with the GCE loss."""
         cfg = self.config
+        x, y = self.view.features, self.view.noisy_labels
+
+        def gce(net, ids):
+            value, bundle = nn.gce_loss_and_grads(net, x[ids], y[ids], cfg.gce_q)
+            return value, {}, bundle
+
         for epoch in range(cfg.warmup_epochs):
             gce_means = []
-            for k, net in enumerate(self.nets):
+            for k in range(self.n_nets):
                 order = self.streams["warmup_shuffle"].permutation(cfg.n_train)
-                epoch_loss = 0.0
-                n_batches = 0
-                with _steps_stop_on_fp_error(k, epoch, lambda: n_batches):
-                    for start in range(0, cfg.n_train, cfg.batch_size):
-                        ids = order[start:start + cfg.batch_size]
-                        value, bundle = nn.gce_loss_and_grads(
-                            net, self.view.features[ids], self.view.noisy_labels[ids],
-                            cfg.gce_q)
-                        if not np.isfinite(value):
-                            raise TrainingError("warm-up diverged", epoch=epoch,
-                                                batch=n_batches)
-                        self.opt_states[k] = nn.sgd_step(net, bundle, cfg.lr,
-                                                         cfg.weight_decay, cfg.momentum,
-                                                         self.opt_states[k])
-                        epoch_loss += value
-                        n_batches += 1
-                gce_means.append(epoch_loss / max(n_batches, 1))
+                batches = (order[s:s + cfg.batch_size]
+                           for s in range(0, cfg.n_train, cfg.batch_size))
+                gce_means.append(self._sgd_steps(k, epoch, batches, gce)["loss_total"])
             self.report.epochs.append(self._record(
                 epoch=epoch, phase="warmup", loss_total=float(np.mean(gce_means)),
                 test_accuracy=self._test_accuracy()))
@@ -494,44 +508,24 @@ class Experiment:
         lam_cl = 0.0 if cfg.disable_cl else cfg.lambda_cl
         lam_energy = 0.0 if cfg.disable_vos else cfg.lambda_energy
         outliers = geo["outliers"].features if geo is not None else np.empty((0, net.feature_dim))
-        sums = dict.fromkeys(("loss_total",) + tuple(f"loss_{t}" for t in nn.LOSS_TERMS), 0.0)
-        first_batch_terms = None
-
         order = self.streams["train_shuffle"].permutation(labeled_ids)
         u_order = self.streams["train_shuffle"].permutation(unlabeled_ids)
-        n_steps = int(np.ceil(len(order) / cfg.batch_size))
-        executed = 0
-        u_pos = 0
-        with _steps_stop_on_fp_error(k, epoch, lambda: step):
-            for step in range(n_steps):
-                xb_ids = order[step * cfg.batch_size:(step + 1) * cfg.batch_size]
-                if len(xb_ids) < 2:
-                    continue  # mixup and batch statistics need at least two rows
+
+        def batches():
+            u_pos = 0
+            # a last batch of one row is left out: mixup and batch statistics need two
+            for start in range(0, len(order) - 1, cfg.batch_size):
                 ub_ids = np.empty(0, dtype=int)
                 if len(u_order):
                     take = min(cfg.batch_size, len(u_order))
-                    idx = (u_pos + np.arange(take)) % len(u_order)
-                    ub_ids = u_order[idx]
+                    ub_ids = u_order[(u_pos + np.arange(take)) % len(u_order)]
                     u_pos = (u_pos + take) % len(u_order)
+                yield self._build_batch(order[start:start + cfg.batch_size], ub_ids, w,
+                                        support_ids, outliers, lam_u, lam_cl, lam_energy)
 
-                batch = self._build_batch(xb_ids, ub_ids, w, support_ids, outliers,
-                                          lam_u, lam_cl, lam_energy)
-                value, terms, bundle = nn.total_loss_and_grads(net, batch)
-                if not np.isfinite(value) or not bundle.is_finite():
-                    raise TrainingError(f"non-finite training loss (net {k})",
-                                        epoch=epoch, batch=step)
-                self.opt_states[k] = nn.sgd_step(net, bundle, cfg.lr, cfg.weight_decay,
-                                                 cfg.momentum, self.opt_states[k])
-                if first_batch_terms is None:
-                    first_batch_terms = dict(terms)
-                sums["loss_total"] += value
-                for name in nn.LOSS_TERMS:
-                    sums[f"loss_{name}"] += terms[name]
-                executed += 1
-
-        row = {key: total / max(executed, 1) for key, total in sums.items()}
-        row["first_batch_terms"] = first_batch_terms
-        return row
+        return self._sgd_steps(k, epoch, batches(),
+                               lambda net, batch: nn.total_loss_and_grads(net, batch),
+                               nn.LOSS_TERMS)
 
     def _build_batch(self, xb_ids, ub_ids, w, support_ids, outliers,
                      lam_u, lam_cl, lam_energy) -> nn.TotalLossBatch:

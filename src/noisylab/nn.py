@@ -548,28 +548,6 @@ def gce_loss_and_grads(net: DenseNet, x: np.ndarray, y: np.ndarray, q: float = 0
     return value, bundle
 
 
-def energy_bce_loss_and_grads(net: DenseNet, *, clean_features: np.ndarray | None = None,
-                              outlier_features: np.ndarray | None = None,
-                              temperature: float = 1.0):
-    """Binary cross entropy on the energies of feature-space points: clean
-    samples low, synthetic outliers high. Only the classifier head gets
-    gradients.
-
-    Returns (value, g), g a fresh bundle of its gradients, whose head
-    gradient sums clean and outlier rows.
-    """
-    bundle = GradientBundle.zeros(net)
-    value = 0.0
-    for features, sign in ((clean_features, +1.0), (outlier_features, -1.0)):
-        if features is not None and len(features):
-            cache = _empty_cache(net)
-            term, dlogits = energy_bce_term(head_forward(net, features, cache), sign,
-                                            temperature)
-            value += term
-            _backward_segment(net, cache, dlogits, net.extractor_end, net.classifier_end, bundle)
-    return value, bundle
-
-
 @dataclass
 class TotalLossBatch:
     """One optimization step's ingredients for the combined objective."""

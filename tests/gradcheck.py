@@ -8,6 +8,7 @@ are only a valid oracle where the loss is smooth.
 
 import numpy as np
 
+import loss_oracles
 from noisylab import nn
 
 FD_STEP = 1e-4
@@ -157,9 +158,7 @@ def sample_config(kind, seed, q=0.7, temperature=1.0, contrast_temperature=0.5):
                     and _energies_unsaturated(net, outliers, temperature, False)):
                 continue
             return net, {"clean_features": clean, "outlier_features": outliers}, \
-                lambda: nn.energy_bce_loss_and_grads(
-                    net, clean_features=clean, outlier_features=outliers,
-                    temperature=temperature)
+                lambda: loss_oracles.energy_bce_head_only(net, clean, outliers, temperature)
         if kind == "total":
             n_u = int(rng.integers(1, 4))
             u = rng.normal(size=(n_u, net.input_dim))

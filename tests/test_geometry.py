@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import geometry_oracle
+import loss_oracles
 from noisylab import geometry, nn
 from noisylab.errors import EmptySupportError, ParameterError
 from gradcheck import REL_TOL, finite_difference_grads, max_relative_error
@@ -54,27 +55,25 @@ class TestCentroids:
     def test_mean_of_three_points(self):
         feats = np.array([[0.0, 1.0], [2.0, -1.0], [1.0, 0.0]])
         cents = geometry.class_centroids(feats, np.zeros(3, dtype=int))
-        assert np.allclose(cents.center_for(0), [1.0, 0.0])
+        assert np.array_equal(cents.class_ids, [0])
+        assert np.allclose(cents.centers[0], [1.0, 0.0])
 
     def test_singleton_class(self):
         feats = np.array([[5.0, 5.0], [0.0, 0.0]])
         cents = geometry.class_centroids(feats, np.array([1, 2]))
-        assert np.allclose(cents.center_for(1), [5.0, 5.0])
+        assert np.array_equal(cents.class_ids, [1, 2])
+        assert np.allclose(cents.centers[0], [5.0, 5.0])
 
     def test_matches_summation_oracle(self):
         rng = np.random.default_rng(17)
         feats = rng.normal(size=(300, 4))
         labels = rng.integers(0, 5, size=300)
         cents = geometry.class_centroids(feats, labels)
-        for c in np.unique(labels):
+        assert np.array_equal(cents.class_ids, np.unique(labels))
+        for c, center in zip(cents.class_ids, cents.centers):
             rows = [feats[i] for i in range(300) if labels[i] == c]
             oracle = sum(rows) / len(rows)
-            assert np.allclose(cents.center_for(c), oracle)
-
-    def test_absent_class_has_no_centroid(self):
-        cents = geometry.class_centroids(np.zeros((2, 2)), np.array([0, 0]))
-        with pytest.raises(KeyError):
-            cents.center_for(3)
+            assert np.allclose(center, oracle)
 
 
 class TestSamplers:
@@ -249,6 +248,13 @@ class TestMeanCentroidDistance:
         assert geometry.mean_centroid_distance(cents) is None
 
 
+def _energy_term(net, clean, outliers, temperature=1.0):
+    """The energy term's value as the training step takes it: `nn.energy_bce_term`
+    on the head's logits, clean features pushed low and outliers high."""
+    return sum(nn.energy_bce_term(nn.head_forward(net, features), sign, temperature)[0]
+               for features, sign in ((clean, +1.0), (outliers, -1.0)))
+
+
 class TestEnergyBce:
     def test_zero_energy_gives_two_log_two(self):
         # identity head on 1-D features with one zero logit
@@ -259,8 +265,7 @@ class TestEnergyBce:
         ]
         net = nn.DenseNet(layers, 1, 2)
         # K = 1: energy(logit 0) = -log exp(0) = 0 for clean and outlier
-        value, _ = nn.energy_bce_loss_and_grads(
-            net, clean_features=np.zeros((1, 1)), outlier_features=np.zeros((1, 1)))
+        value = _energy_term(net, np.zeros((1, 1)), np.zeros((1, 1)))
         assert np.isclose(value, 2.0 * np.log(2.0))
         assert np.isclose(value, 1.386294, atol=1e-6)
 
@@ -273,8 +278,7 @@ class TestEnergyBce:
         ]
         net = nn.DenseNet(layers, 1, 2)
         # clean feature 0 -> logit 40 -> E = -40; outlier 1 -> logit -40 -> E = +40
-        value, _ = nn.energy_bce_loss_and_grads(
-            net, clean_features=np.zeros((1, 1)), outlier_features=np.ones((1, 1)))
+        value = _energy_term(net, np.zeros((1, 1)), np.ones((1, 1)))
         assert value < 1e-6
 
     def test_gradient_matches_finite_differences(self):
@@ -282,22 +286,22 @@ class TestEnergyBce:
         net = nn.build_network(3, 4, hidden=(5,), projection_dim=2, rng=rng)
         clean = rng.normal(size=(6, net.feature_dim))
         outliers = rng.normal(size=(4, net.feature_dim))
-        _, bundle = nn.energy_bce_loss_and_grads(net, clean_features=clean,
-                                                 outlier_features=outliers)
+        _, bundle = loss_oracles.energy_bce_head_only(net, clean, outliers, 1.0)
         fd = finite_difference_grads(
-            net, lambda: nn.energy_bce_loss_and_grads(net, clean_features=clean,
-                                                      outlier_features=outliers)[0])
+            net, lambda: loss_oracles.energy_bce_head_only(net, clean, outliers, 1.0)[0])
         assert max_relative_error(bundle, fd) <= REL_TOL
 
     def test_empty_outlier_batch_keeps_clean_term_only(self):
         rng = np.random.default_rng(2)
         net = nn.build_network(2, 3, hidden=(4,), projection_dim=2, rng=rng)
-        clean = rng.normal(size=(5, net.feature_dim))
-        full, _ = nn.energy_bce_loss_and_grads(net, clean_features=clean,
-                                               outlier_features=np.empty((0, net.feature_dim)))
-        e = nn.energies(nn.head_forward(net, clean))
+        support = rng.normal(size=(5, net.input_dim))
+        # the training step on support rows and no outliers: only the clean part counts
+        _, terms, _ = nn.total_loss_and_grads(net, nn.TotalLossBatch(
+            labeled_inputs=support[:2], labeled_targets=np.full((2, 3), 1 / 3),
+            support_inputs=support, outlier_features=np.empty((0, net.feature_dim))))
+        e = nn.energies(nn.predict_logits(net, support))
         oracle = float(np.minimum(np.logaddexp(0.0, e), nn.ENERGY_BCE_CAP).mean())
-        assert np.isclose(full, oracle)
+        assert np.isclose(terms["energy"], oracle)
 
 
 def test_energy_separation_after_training_frozen_features():
@@ -314,8 +318,7 @@ def test_energy_separation_after_training_frozen_features():
     net = nn.build_network(2, 2, hidden=(2,), projection_dim=2, rng=rng)
     state = None
     for _ in range(500):
-        _, bundle = nn.energy_bce_loss_and_grads(net, clean_features=clean,
-                                                 outlier_features=outliers)
+        _, bundle = loss_oracles.energy_bce_head_only(net, clean, outliers, 1.0)
         state = nn.sgd_step(net, bundle, lr=0.5, momentum=0.9, state=state)
     e_clean = nn.energies(nn.head_forward(net, clean)).mean()
     e_out = nn.energies(nn.head_forward(net, outliers)).mean()
