@@ -85,7 +85,6 @@ class RunConfig:
     seed: int = 1
     # ablation switches
     disable_vos: bool = False
-    disable_cl: bool = False
     single_network: bool = False
     # augmentation
     weak_jitter: float = 0.05

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySupportError, ParameterError
-from .nn import in_row_blocks
+from .nn import SCORE_BLOCK_ROWS, in_row_blocks
 
 SAMPLERS = ("uniform", "gaussian", "perturbation", "hybrid")
 
@@ -101,9 +101,13 @@ def _sample_gaussian(envelope, centroids, features, labels, out, rng) -> None:
 
 def _sample_perturbation(envelope, features, out, rng) -> None:
     idx = rng.integers(0, len(features), size=len(out))
-    np.multiply(rng.normal(0.0, 1.0, size=out.shape),
-                PERTURBATION_SCALE * float(envelope.edge_lengths.mean()), out=out)
-    out += features[idx]  # f + z * s, added as z * s + f
+    rng.standard_normal(out=out)
+    out *= PERTURBATION_SCALE * float(envelope.edge_lengths.mean())
+    # f + z * s, added as z * s + f, one block of gathered rows at a time:
+    # no (n, d) temporary beside out
+    for start in range(0, len(out), SCORE_BLOCK_ROWS):
+        rows = slice(start, start + SCORE_BLOCK_ROWS)
+        out[rows] += features[idx[rows]]
     np.clip(out, envelope.low, envelope.high, out=out)
 
 

@@ -25,7 +25,7 @@ from . import geometry, metrics, nn, partition, semisup
 from .config import RunConfig
 from .errors import ConfigError, NoisylabError, ParameterError, TrainingError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # purpose tags for derived random streams
 _STREAM_TAGS = {
@@ -209,6 +209,8 @@ REPORT_SCHEMA = {
                     "tau_rej_effective": {"type": ["number", "null"]},
                     "mean_energy_clean": {"type": ["number", "null"]},
                     "mean_energy_outlier": {"type": ["number", "null"]},
+                    "gmm_iterations": {"type": ["integer", "null"]},
+                    "gmm_capped": {"type": ["integer", "null"]},
                     "test_accuracy": {"type": "number"},
                     "first_batch_terms": {
                         "type": ["object", "null"],
@@ -256,20 +258,26 @@ REPORT_SCHEMA = {
 _EPOCH_KEYS = tuple(REPORT_SCHEMA["properties"]["epochs"]["items"]["properties"])
 
 
+#: the keys of a record that are neither a mean nor a sum of the nets' values
+_RECORD_KEYS = ("epoch", "phase", "test_accuracy", "support_fallback", "first_batch_terms")
+#: the keys of a main epoch's record that are a sum over the nets: counts, kept integers
+_SUM_KEYS = ("gmm_iterations", "gmm_capped")
 #: the keys of a main epoch's record that are a mean over the nets
-_MEAN_KEYS = tuple(k for k in _EPOCH_KEYS if k not in (
-    "epoch", "phase", "test_accuracy", "support_fallback", "first_batch_terms"))
+_MEAN_KEYS = tuple(k for k in _EPOCH_KEYS if k not in _RECORD_KEYS + _SUM_KEYS)
 
 
 def mean_of_net_rows(rows: list[dict]) -> dict:
     """A main epoch's record values from the nets' rows, in net order.
 
-    Each value is the mean of the nets' values that are present and not None
-    (None if no net has one); `support_fallback` is True if any net fell back,
-    and `first_batch_terms` is net 0's (None if net 0 ran no step).
+    Each value is the mean of the nets' values that are present and not None,
+    or for the EM counts (`_SUM_KEYS`) their integer sum (None if no net has
+    one); `support_fallback` is True if any net fell back, and
+    `first_batch_terms` is net 0's (None if net 0 ran no step).
     """
-    values = {key: [row[key] for row in rows if row.get(key) is not None] for key in _MEAN_KEYS}
-    record = {key: float(np.mean(v)) if v else None for key, v in values.items()}
+    values = {key: [row[key] for row in rows if row.get(key) is not None]
+              for key in _MEAN_KEYS + _SUM_KEYS}
+    record = {key: (sum(v) if key in _SUM_KEYS else float(np.mean(v))) if v else None
+              for key, v in values.items()}
     record["support_fallback"] = any(row["support_fallback"] for row in rows)
     record["first_batch_terms"] = rows[0]["first_batch_terms"]
     return record
@@ -456,7 +464,10 @@ class Experiment:
                               np.flatnonzero(~train_labeled), w, support, geo)
 
         sel = metrics.selection_metrics(in_support, self.dataset.clean_mask)
-        row.update(n_labeled=np.count_nonzero(labeled), n_support=len(support),
+        em_iterations = max(len(gmm.log_likelihood_history) - 1, 0)  # 0: all losses equal
+        row.update(gmm_iterations=em_iterations,
+                   gmm_capped=int(em_iterations >= partition.EM_MAX_ITERS),
+                   n_labeled=np.count_nonzero(labeled), n_support=len(support),
                    support_fallback=fallback, selection_precision=sel.precision,
                    selection_recall=sel.recall, selection_f1=sel.f1)
         if support.size:
@@ -505,7 +516,6 @@ class Experiment:
         net = self.nets[k]
         main_idx = epoch - cfg.warmup_epochs
         lam_u = cfg.lambda_u * min(1.0, main_idx / cfg.lambda_u_ramp_epochs)
-        lam_cl = 0.0 if cfg.disable_cl else cfg.lambda_cl
         lam_energy = 0.0 if cfg.disable_vos else cfg.lambda_energy
         outliers = geo["outliers"].features if geo is not None else np.empty((0, net.feature_dim))
         order = self.streams["train_shuffle"].permutation(labeled_ids)
@@ -521,7 +531,7 @@ class Experiment:
                     ub_ids = u_order[(u_pos + np.arange(take)) % len(u_order)]
                     u_pos = (u_pos + take) % len(u_order)
                 yield self._build_batch(order[start:start + cfg.batch_size], ub_ids, w,
-                                        support_ids, outliers, lam_u, lam_cl, lam_energy)
+                                        support_ids, outliers, lam_u, cfg.lambda_cl, lam_energy)
 
         return self._sgd_steps(k, epoch, batches(),
                                lambda net, batch: nn.total_loss_and_grads(net, batch),

@@ -70,17 +70,24 @@ def _score_pair(id_scores, ood_scores):
 
 
 def auroc(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
-    """P(id score > ood score) + 0.5 P(equal), via average ranks."""
+    """P(id score > ood score) + 0.5 P(equal), via average ranks.
+
+    One argsort of all scores marks the sorted places of the ID scores; the
+    rank sum is then exact integer arithmetic over the runs of equal scores,
+    with about two score-sized arrays held at a time.
+    """
     id_scores, ood_scores = _score_pair(id_scores, ood_scores)
     n_pos, n_neg = len(id_scores), len(ood_scores)
-    # a run of equal scores at sorted positions first..last (0-based) shares
-    # the average rank (first + last) / 2 + 1
-    _, inverse, counts = np.unique(np.concatenate([id_scores, ood_scores]),
-                                   return_inverse=True, return_counts=True)
-    last = np.cumsum(counts) - 1
-    ranks = (0.5 * (2 * last - counts + 1) + 1.0)[inverse]
-    rank_sum = ranks[:n_pos].sum()
-    u = rank_sum - n_pos * (n_pos + 1) / 2.0
+    scores = np.concatenate([id_scores, ood_scores])
+    is_id = np.argsort(scores) < n_pos
+    scores.sort()  # argsort's order of values: equal scores are interchangeable
+    starts = np.flatnonzero(np.r_[True, scores[1:] != scores[:-1]])  # each run's first place
+    del scores
+    n_id = np.add.reduceat(is_id, starts, dtype=np.int64)  # the ID scores of each run
+    # a run at sorted places s..e-1 (0-based; e is the next run's s) shares the
+    # average rank (s + e + 1) / 2, so twice the ID rank sum is an exact integer
+    twice_rank_sum = n_id @ starts + n_id[:-1] @ starts[1:] + n_id[-1] * len(is_id) + n_pos
+    u = twice_rank_sum / 2 - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
 

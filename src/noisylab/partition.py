@@ -20,6 +20,8 @@ import numpy as np
 from .errors import ParameterError
 
 VARIANCE_FLOOR = 1e-6
+#: EM iterations after the start E step at most; a fit that runs them all is capped
+EM_MAX_ITERS = 100
 _LOG_2PI = np.log(2.0 * np.pi)
 
 
@@ -67,7 +69,7 @@ def _sq_diff(x: np.ndarray, means) -> np.ndarray:
     return np.square(diff, out=diff)
 
 
-def fit_gmm_1d(losses, max_iters: int = 100, tol: float = 1e-6) -> Gmm1d:
+def fit_gmm_1d(losses, max_iters: int = EM_MAX_ITERS, tol: float = 1e-6) -> Gmm1d:
     """EM fit from a deterministic start.
 
     Component means are initialized at the 10th/90th percentiles with

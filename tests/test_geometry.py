@@ -135,19 +135,28 @@ class TestSamplers:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (seed, k, d)
                 assert got_rng.random() == want_rng.random()  # the same draws were taken
 
-    def test_gaussian_peak_memory_near_its_output(self):
+    @staticmethod
+    def _peak_over_output(strategy):
+        """The sampler's tracemalloc peak over its 10k x 8 output, output included."""
         rng = np.random.default_rng(0)
         labels = np.repeat(np.arange(4), 250)
         feats = rng.normal(size=(1000, 8)) + labels[:, None]
         env, cents = geometry.estimate_envelope(feats), geometry.class_centroids(feats, labels)
         tracemalloc.start()
         try:
-            cand = geometry.sample_candidates(env, cents, feats, labels, 10_000, "gaussian", rng)
+            cand = geometry.sample_candidates(env, cents, feats, labels, 10_000, strategy, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return peak / cand.nbytes
+
+    def test_gaussian_peak_memory_near_its_output(self):
         # stacked per-class draws and a clipped copy peaked at 3.2 times the output
-        assert peak < 1.5 * cand.nbytes, peak / cand.nbytes
+        assert self._peak_over_output("gaussian") < 1.5
+
+    def test_perturbation_peak_memory_near_its_output(self):
+        # a drawn noise array and the gathered support rows peaked at 2.13 times the output
+        assert self._peak_over_output("perturbation") < 1.5
 
     def test_unknown_strategy_rejected(self):
         env, cents, feats, labels, _ = self._setup()

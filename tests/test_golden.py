@@ -7,8 +7,9 @@ acceptance suite. A digest may only change together with a CHANGES.md
 entry that says why the bits moved: a rounding-only change re-pins them
 once, after `benchmarks/rounding.py` has compared the reports of these
 same configs against the parent's (README, "Rounding-only changes").
-The digests were last re-pinned when a training step became one
-extractor pass.
+The digests were last re-pinned when report schema 2 added each main
+epoch's EM counts and dropped `disable_cl` from the config echo;
+`test_schema_2_moved_no_number` proves that re-pin kept every number.
 """
 
 import hashlib
@@ -30,16 +31,16 @@ SMALL = dict(n_train=300, n_test=100, ood_n=60, warmup_epochs=2, total_epochs=8)
 GOLDEN = {
     "blobs-seed3": (
         dict(seed=3, **SMALL),
-        "59ee8b02aa2b0f676bf148fa7a343c29f5ba42325d936820740005652de6194d",
+        "fd493125a307c359ee34263d9047d031591d88169c3277b8b95a2b72a715e574",
     ),
     "ring-asym-seed4": (
         dict(seed=4, generator="ring-classes", n_classes=3, noise_mode="asymmetric",
              noise_rate=0.3, **SMALL),
-        "a3c90e2bba942f486c1d1620b7b13ef3fc1679aed9341c27f39c6172c14de43d",
+        "31d8f2d87a82e1f8c40fa332e201a302dd55654c7ccedaa2c314b0ec27d165ea",
     ),
     "moons-novos-seed5": (
         dict(seed=5, generator="two-moons-kd", n_classes=2, disable_vos=True, **SMALL),
-        "e759df01055f35d7d36d5d3b48f87b8c98ac995bb3bc1816bdcb1afd14a8f09e",
+        "dacfcb7b6d8a7bc33273e10fb89e373ad3cdc223858d4d4e82cb19aa05cd874c",
     ),
 }
 
@@ -49,12 +50,22 @@ GOLDEN = {
 FULL_SIZE = {
     "default-seed1": (
         RunConfig(seed=1),
-        "d3a9a5162b94b58272a45a89602c09531455b2acd3838de85062dbeaace9289a",
+        "3d41971f2941f098eb5e066b8fe2cbeea28d4ae15313c2b30348561c9774f7d4",
     ),
     "no_vos-seed1": (
         RunConfig(seed=1, disable_vos=True),
-        "02d6ccb494bc29ab4c3dcca02bf74c9acedc927ff430c0345ab7744084fab6c9",
+        "d44e7bc982fcbdfa99fcefdc82d39b89a489a88cc2bca2f4e75d887269b27ac2",
     ),
+}
+
+# the same five reports' digests in schema 1, which had no EM counts and echoed
+# `"disable_cl": false`: the proof that schema 2 moved no number
+SCHEMA_1 = {
+    "blobs-seed3": "59ee8b02aa2b0f676bf148fa7a343c29f5ba42325d936820740005652de6194d",
+    "ring-asym-seed4": "a3c90e2bba942f486c1d1620b7b13ef3fc1679aed9341c27f39c6172c14de43d",
+    "moons-novos-seed5": "e759df01055f35d7d36d5d3b48f87b8c98ac995bb3bc1816bdcb1afd14a8f09e",
+    "default-seed1": "d3a9a5162b94b58272a45a89602c09531455b2acd3838de85062dbeaace9289a",
+    "no_vos-seed1": "02d6ccb494bc29ab4c3dcca02bf74c9acedc927ff430c0345ab7744084fab6c9",
 }
 
 # `noisylab ood-eval` of the blobs-seed3 run on the ID and OOD CSVs that
@@ -94,6 +105,31 @@ def test_report_digest(name):
 def test_full_size_report_digest(run_cache, name):
     config, expected = FULL_SIZE[name]
     assert hashlib.sha256(run_cache.get(config).canonical_json()).hexdigest() == expected
+
+
+def _as_schema_1(report) -> bytes:
+    """report's bytes as schema 1 wrote them: epochs without the EM counts, and
+    `disable_cl`, which was always false, in the config echo."""
+    doc = json.loads(report.canonical_json())
+    doc["schema_version"] = 1
+    doc["config"]["disable_cl"] = False
+    for epoch in doc["epochs"]:
+        del epoch["gmm_iterations"], epoch["gmm_capped"]
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA_1))
+def test_schema_2_moved_no_number(run_cache, name):
+    config = RunConfig(**GOLDEN[name][0]) if name in GOLDEN else FULL_SIZE[name][0]
+    assert hashlib.sha256(_as_schema_1(run_cache.get(config))).hexdigest() == SCHEMA_1[name]
+
+
+def test_default_seed1_em_totals(run_cache):
+    # the totals perfbench's tracer counts for seed 1: 2 nets' fits in each of 30 main epochs
+    main = [e for e in run_cache.get(RunConfig(seed=1)).epochs if e["phase"] == "main"]
+    assert 2 * len(main) == 60
+    assert sum(e["gmm_iterations"] for e in main) == 4724
+    assert sum(e["gmm_capped"] for e in main) == 25
 
 
 def test_dump_file_digests(tmp_path):

@@ -19,9 +19,9 @@ import noisylab
 from noisylab import RunConfig, data, metrics, nn, run_experiment
 from noisylab.cli import main as cli_main
 from noisylab.errors import ConfigError
-from noisylab.harness import (REPORT_SCHEMA, SWEEP_GRIDS, Experiment, _mean_probs,
-                              build_datasets, evaluate_ood, load_model, mean_of_net_rows,
-                              ood_scores, save_model, sweep_variants)
+from noisylab.harness import (_MEAN_KEYS, _RECORD_KEYS, _SUM_KEYS, REPORT_SCHEMA, SWEEP_GRIDS,
+                              Experiment, _mean_probs, build_datasets, evaluate_ood, load_model,
+                              mean_of_net_rows, ood_scores, save_model, sweep_variants)
 from noisylab.nn import SCORE_BLOCK_ROWS
 
 SMOKE = dict(n_train=300, n_test=150, warmup_epochs=2, total_epochs=5,
@@ -205,7 +205,7 @@ class TestRunExperiment:
         assert smoke_report.epochs[-1]["phase"] == "main"
 
     def test_schema_version_present(self, smoke_report):
-        assert json.loads(smoke_report.canonical_json())["schema_version"] == 1
+        assert json.loads(smoke_report.canonical_json())["schema_version"] == 2
 
     def test_config_echo_in_report(self, smoke_report):
         assert smoke_report.config["n_train"] == 300
@@ -250,11 +250,13 @@ class TestEpochRecordRule:
         terms0 = dict.fromkeys(nn.LOSS_TERMS, 0.25)
         # net 0 has an empty support: no precision, no geometry, no energies
         net0 = {"loss_total": 1.5, "loss_labeled": 0.75, "n_labeled": 40, "n_support": 0,
-                "support_fallback": True, "selection_precision": None,
+                "gmm_iterations": 37, "gmm_capped": 0, "support_fallback": True,
+                "selection_precision": None,
                 "selection_recall": 0.0, "selection_f1": 0.0, "mean_energy_clean": None,
                 "mean_energy_outlier": None, "first_batch_terms": terms0}
         net1 = {"loss_total": 0.5, "loss_labeled": 0.3, "n_labeled": 45, "n_support": 31,
-                "support_fallback": False, "selection_precision": 0.8,
+                "gmm_iterations": 100, "gmm_capped": 1, "support_fallback": False,
+                "selection_precision": 0.8,
                 "selection_recall": 0.6, "selection_f1": 0.7, "mean_energy_clean": -4.0,
                 "envelope_log_volume": 2.5, "n_candidates": 310, "n_outliers": 12,
                 "tau_rej_effective": 1.25, "mean_energy_outlier": -1.0,
@@ -265,6 +267,9 @@ class TestEpochRecordRule:
         assert record["loss_total"] == 1.0 and record["loss_labeled"] == float(np.mean([0.75, 0.3]))
         assert record["n_labeled"] == 42.5 and type(record["n_labeled"]) is float
         assert record["n_support"] == 15.5
+        # the EM counts add up over the nets, and stay integers
+        assert (record["gmm_iterations"], record["gmm_capped"]) == (137, 1)
+        assert type(record["gmm_iterations"]) is int and type(record["gmm_capped"]) is int
         # a value only one net has is that net's value, not half of it
         assert record["selection_precision"] == 0.8
         assert record["mean_energy_clean"] == -4.0 and record["mean_energy_outlier"] == -1.0
@@ -283,6 +288,25 @@ class TestEpochRecordRule:
         single = mean_of_net_rows([net0])
         assert single["selection_precision"] is None and single["n_support"] == 0.0
         assert single["envelope_log_volume"] is None
+        assert (single["gmm_iterations"], single["gmm_capped"]) == (37, 0)
+
+    def test_every_epoch_key_has_one_rule(self, smoke_report):
+        # a count must be summed: as a mean over the nets it would become a float
+        properties = REPORT_SCHEMA["properties"]["epochs"]["items"]["properties"]
+        assert set(_RECORD_KEYS) == {"epoch", "phase", "test_accuracy", "support_fallback",
+                                     "first_batch_terms"}
+        assert set(_SUM_KEYS) == {"gmm_iterations", "gmm_capped"}
+        for key in properties:
+            assert [key in _RECORD_KEYS, key in _SUM_KEYS, key in _MEAN_KEYS].count(True) == 1, key
+        integers = {key for key, rule in properties.items()
+                    if "integer" in np.ravel(rule.get("type", "enum"))}
+        assert integers == {"epoch"} | set(_SUM_KEYS)
+        for record in smoke_report.epochs:
+            for key in _SUM_KEYS:
+                if record["phase"] == "main":
+                    assert type(record[key]) is int, (key, record[key])
+                else:
+                    assert record[key] is None, key
 
 
 class TestAblationIsolation:
@@ -301,7 +325,7 @@ class TestAblationIsolation:
         assert t_on["energy"] != 0.0
 
     def test_disable_cl_zeroes_contrastive_term(self):
-        report = run_experiment(RunConfig(seed=6, disable_cl=True, **SMOKE))
+        report = run_experiment(RunConfig(seed=6, lambda_cl=0.0, **SMOKE))
         for e in report.epochs:
             if e["phase"] == "main":
                 assert e["loss_contrastive"] == 0.0
@@ -674,6 +698,26 @@ class TestCli:
         report = json.loads((tmp_path / "r" / "report.json").read_text())
         assert report["incomplete"] is True and report["summary"] == {}
         jsonschema.validate(report, REPORT_SCHEMA)
+
+    def test_old_disable_cl_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"disable_cl": False}))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli_main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: unknown config keys: ['disable_cl']\n"
+        assert not out.exists()
+
+    def test_old_run_directory_with_disable_cl_rejected(self, saved_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(saved_run, run)
+        echo = json.loads((run / "config.json").read_text())
+        (run / "config.json").write_text(json.dumps(dict(echo, disable_cl=False)))
+        capsys.readouterr()
+        # the config is read before any CSV, so the CSV need not exist
+        assert cli_main(["ood-eval", "--run-dir", str(run),
+                         "--ood-csv", str(tmp_path / "ood.csv")]) == 2
+        assert capsys.readouterr().err == "config error: unknown config keys: ['disable_cl']\n"
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -1,5 +1,7 @@
 """Accuracy, selection quality, AUROC, and FPR95."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,27 @@ def brute_force_auroc(id_scores, ood_scores):
     return wins / (len(id_scores) * len(ood_scores))
 
 
+def unique_rank_auroc(id_scores, ood_scores):
+    """The rank sum as `metrics.auroc` took it before: average ranks from
+    `np.unique`'s inverse and counts, over the concatenated scores."""
+    n_pos, n_neg = len(id_scores), len(ood_scores)
+    _, inverse, counts = np.unique(np.concatenate([id_scores, ood_scores]),
+                                   return_inverse=True, return_counts=True)
+    last = np.cumsum(counts) - 1
+    ranks = (0.5 * (2 * last - counts + 1) + 1.0)[inverse]
+    u = ranks[:n_pos].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestAuroc:
     def test_perfect_separation(self):
         assert metrics.auroc(np.array([2.0, 3.0]), np.array([0.0, 1.0])) == 1.0
@@ -103,6 +126,30 @@ class TestAuroc:
     def test_matches_pairwise_oracle_on_random_sets(self, scores):
         a, b = scores
         assert abs(metrics.auroc(a, b) - brute_force_auroc(a, b)) < 1e-12
+
+    @pytest.mark.parametrize("case", ["continuous", "tie-heavy", "signed-zeros", "one-element"])
+    def test_equals_unique_rank_formula_bitwise(self, case):
+        # ranks are half-integers and every sum of them is exact, so the value is the same
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n_pos, n_neg = rng.integers(1, 400, size=2)
+            if case == "continuous":
+                a, b = rng.normal(size=n_pos), rng.normal(0.5, 1.0, size=n_neg)
+            elif case == "tie-heavy":
+                a, b = (rng.integers(0, 5, size=n).astype(float) for n in (n_pos, n_neg))
+            elif case == "signed-zeros":
+                a, b = (np.where(rng.random(n) < 0.5, -1.0, 1.0) * rng.integers(0, 2, size=n)
+                        for n in (n_pos, n_neg))
+            else:
+                a, b = rng.normal(size=1), rng.normal(size=1 + seed % 2 * n_neg)
+            assert metrics.auroc(a, b) == unique_rank_auroc(a, b), seed
+        assert metrics.auroc(np.array([1.0]), np.array([1.0])) == 0.5
+
+    def test_peak_memory_at_most_half_the_unique_rank_formula(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=200_000), rng.normal(size=1_000)
+        # the np.unique formula peaked at 14.0 MiB here
+        assert _peak_bytes(metrics.auroc, a, b) <= 0.5 * _peak_bytes(unique_rank_auroc, a, b)
 
     def test_invariant_under_increasing_transform(self):
         rng = np.random.default_rng(3)
