@@ -34,8 +34,9 @@ scores. Each kernel runs `ROUNDS` rounds of one batch of calls (about
 
 The file holds, per tree and kernel, each round's ms per call and their
 median; the EM iteration count of the fit (`em_iters`); and, for
-`read_dataset_csv`, `ood_scores` and `filter_outliers`, the `tracemalloc`
-peak of one call (`peak_mb`, 10^6 bytes), taken after all timing. For
+`fit_gmm_1d`, `read_dataset_csv`, `ood_scores` and `filter_outliers`, the
+`tracemalloc` peak of one call (`peak_mb`, 10^6 bytes), taken after all
+timing. For
 each later tree, `vs_first` gives per kernel the median over the rounds
 of its time divided by the first tree's in the same round, minus one
 (`ms`), and the number of rounds in which it was faster
@@ -230,7 +231,7 @@ def main(argv=None) -> int:
             run = runs[label]
             run["fit_gmm_1d"]["em_iters"] = len(
                 calls[label]["fit_gmm_1d"]().log_likelihood_history) - 1
-            for name in ("read_dataset_csv", "ood_scores", "filter_outliers"):
+            for name in ("fit_gmm_1d", "read_dataset_csv", "ood_scores", "filter_outliers"):
                 run[name]["peak_mb"] = _peak_mb(calls[label][name])
 
     bench = {"environment": _environment(np), "rounds": ROUNDS, "runs": runs,

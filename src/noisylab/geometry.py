@@ -78,7 +78,12 @@ def class_centroids(features: np.ndarray, labels: np.ndarray) -> CentroidSet:
 
 
 def _sample_uniform(envelope: Envelope, n: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.uniform(envelope.low, envelope.high, size=(n, len(envelope.low)))
+    # the bytes of rng.uniform(low, high, size), low + (high - low) * u, with
+    # no temporary beside the draw
+    out = rng.random((n, len(envelope.low)))
+    out *= envelope.high - envelope.low
+    out += envelope.low
+    return out
 
 
 def _sample_gaussian(envelope, centroids, features, labels, out, rng) -> None:
@@ -141,13 +146,13 @@ def sample_candidates(envelope: Envelope, centroids: CentroidSet, features: np.n
 
 
 def _min_squared_distances(block: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # one centroid at a time through one (rows, d) buffer; np.add.reduce is
-    # `.sum(axis=1)` without its Python wrapper, so each row's sum keeps its bits
+    # one centroid at a time through one (rows, d) buffer; a row's sum of
+    # squares is one einsum, whose sum does not depend on the row count
     diff = np.empty_like(block)
     sq = np.full(len(block), np.inf)
     for c in centers:
-        np.square(np.subtract(block, c, out=diff), out=diff)
-        np.minimum(sq, np.add.reduce(diff, axis=1), out=sq)
+        np.subtract(block, c, out=diff)
+        np.minimum(sq, np.einsum("ij,ij->i", diff, diff), out=sq)
     return sq
 
 

@@ -548,14 +548,14 @@ class Experiment:
         all_x = self._weak(np.vstack([xb, xb] + [ub] * n_u_views))
         n_lab = 2 * len(xb)
 
-        # each peer runs once on all views; its predictions are cut into views,
-        # in (peer, view) order
+        # each peer runs once on all views; its predictions are sliced into
+        # views, in (peer, view) order
         x_preds, u_preds = [], []
-        cuts = np.cumsum([len(xb), len(xb)] + [len(ub)] * n_u_views)[:-1]
+        n_x, n_u = len(xb), len(ub)
         for peer in self.nets:
-            views = np.split(nn.softmax(nn.predict_logits(peer, all_x)), cuts)
-            x_preds += views[:2]
-            u_preds += views[2:]
+            preds = nn.softmax(nn.predict_logits(peer, all_x))
+            x_preds += [preds[:n_x], preds[n_x:n_lab]]
+            u_preds += [preds[n_lab + i * n_u:n_lab + (i + 1) * n_u] for i in range(n_u_views)]
         tx = semisup.refine_labels(self.view.noisy_labels[xb_ids], w[xb_ids], x_preds,
                                    cfg.n_classes, cfg.sharpen_temperature)
         targets = [tx, tx]

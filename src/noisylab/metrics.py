@@ -97,13 +97,22 @@ def fpr_at_95_tpr(id_scores: np.ndarray, ood_scores: np.ndarray,
 
     Thresholds step through the observed scores from high to low with the
     rule "positive iff score >= threshold" (ID positive); the highest
-    threshold whose TPR reaches the target is used.
+    threshold whose TPR reaches the target is used. That is the k-th
+    largest ID score, k the least count with k / n >= tpr_target, found
+    by one partition; with k = 0 it is the highest observed score.
     """
     id_scores, ood_scores = _score_pair(id_scores, ood_scores)
-    thresholds = np.unique(np.concatenate([id_scores, ood_scores]))
-    # TPR only grows as the threshold falls: take the highest one reaching the target
-    n_id_at_or_above = len(id_scores) - np.searchsorted(np.sort(id_scores), thresholds)
-    reached = np.flatnonzero(n_id_at_or_above / len(id_scores) >= tpr_target)
-    if len(reached) == 0:
-        return 1.0  # every sample below every threshold: classify all positive
-    return float((ood_scores >= thresholds[reached[-1]]).mean())
+    if not tpr_target <= 1.0:
+        return 1.0  # no threshold reaches it: classify all positive
+    n = len(id_scores)
+    k = int(np.ceil(max(tpr_target, 0.0) * n))
+    # the product may round across an integer: settle k on the test k / n >= target
+    while k > 0 and (k - 1) / n >= tpr_target:
+        k -= 1
+    while not k / n >= tpr_target:
+        k += 1
+    if k == 0:
+        threshold = max(id_scores.max(), ood_scores.max())
+    else:
+        threshold = np.partition(id_scores, n - k)[n - k]
+    return float((ood_scores >= threshold).mean())

@@ -79,6 +79,7 @@ class DenseNet:
     extractor_end: int
     classifier_end: int
     params: np.ndarray = field(init=False, repr=False, compare=False)
+    layout: tuple = field(init=False, repr=False, compare=False)  # see `_layout`
 
     def __post_init__(self):
         if not (1 <= self.extractor_end <= self.classifier_end <= len(self.layers)):
@@ -94,7 +95,8 @@ class DenseNet:
                 if self.layers[i].in_dim != widths[i - head_start]:
                     raise ShapeError("head widths disagree with extractor output")
         self.params = _pack([l.weights for l in self.layers], [l.bias for l in self.layers])
-        weights, biases = _views(self.params, [l.weights.shape for l in self.layers])
+        self.layout = _layout([l.weights.shape for l in self.layers])
+        weights, biases = _views(self.params, self.layout)
         self.layers = [DenseLayer(w, b, l.activation)
                        for w, b, l in zip(weights, biases, self.layers)]
 
@@ -120,15 +122,23 @@ def _pack(weights: list[np.ndarray], biases: list[np.ndarray]) -> np.ndarray:
                           dtype=np.float64)
 
 
-def _views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(weight views, bias views) of a vector `_pack` laid out for weights of these shapes."""
+def _layout(shapes) -> tuple[tuple[tuple[slice, tuple[int, int]], ...], tuple[slice, ...]]:
+    """((weight slice, weight shape) per layer, bias slice per layer) of a
+    vector `_pack` laid out for weights of these shapes."""
     weights, biases, start = [], [], 0
     for out_dim, in_dim in shapes:
         end = start + out_dim * in_dim
-        weights.append(flat[start:end].reshape(out_dim, in_dim))
-        biases.append(flat[end:end + out_dim])
+        weights.append((slice(start, end), (out_dim, in_dim)))
+        biases.append(slice(end, end + out_dim))
         start = end + out_dim
-    return weights, biases
+    return tuple(weights), tuple(biases)
+
+
+def _views(flat: np.ndarray, layout) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(weight views, bias views) of flat, laid out as `_layout` gives."""
+    weight_slices, bias_slices = layout
+    return ([flat[s].reshape(shape) for s, shape in weight_slices],
+            [flat[s] for s in bias_slices])
 
 
 def build_network(input_dim: int, n_classes: int, hidden=(64, 64), projection_dim: int = 32,
@@ -206,7 +216,7 @@ def normalize_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (unit rows, degenerate-row mask, the norms the rows were
     divided by, which are 1.0 in degenerate rows).
     """
-    norms = np.linalg.norm(u, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", u, u))
     degenerate = norms < 1e-30
     safe = np.where(degenerate, 1.0, norms)
     z = u / safe[:, None]
@@ -309,12 +319,21 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return rows[np.arange(len(rows)), rows.argmax(axis=1)].reshape(a.shape[:-1] + (1,))
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums along the last axis as one GEMV with a ones vector.
+
+    numpy's `sum(axis=-1)` reduces short rows one row at a time; the GEMV
+    adds in another order, so the sums agree with it to rounding.
+    """
+    return a @ np.ones(a.shape[-1])
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Max-shifted softmax along the last axis."""
     logits = np.asarray(logits, dtype=np.float64)
     e = logits - _row_max(logits)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= _row_sums(e)[..., None]
     return e
 
 
@@ -330,7 +349,7 @@ def soft_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
     """-sum_k t_k log p_k averaged over rows (soft-target variant)."""
     probs = np.atleast_2d(probs)
     targets = np.atleast_2d(targets)
-    rows = (targets * np.log(np.maximum(probs, CE_EPS))).sum(axis=1)
+    rows = np.einsum("ij,ij->i", targets, np.log(np.maximum(probs, CE_EPS)))
     return float(-(np.add.reduce(rows) / len(rows)))
 
 
@@ -346,7 +365,7 @@ def _energy_parts(logits: np.ndarray, temperature: float):
     m = _row_max(shifted)
     shifted -= m
     np.exp(shifted, out=shifted)
-    sums = shifted.sum(axis=-1)
+    sums = _row_sums(shifted)
     return -temperature * (m[..., 0] + np.log(sums)), shifted, sums
 
 
@@ -381,13 +400,14 @@ class GradientBundle:
         if [np.shape(b) for b in d_bias] != [shape[:1] for shape in shapes]:
             raise ShapeError("each bias must be 1-D, as long as its weights' first axis")
         self.flat = _pack(d_weights, d_bias)
-        self.d_weights, self.d_bias = _views(self.flat, shapes)
+        self.d_weights, self.d_bias = _views(self.flat, _layout(shapes))
 
     @classmethod
     def zeros(cls, net: DenseNet) -> "GradientBundle":
+        """Zero arrays laid out as net's parameters (its `layout`, computed once)."""
         bundle = cls.__new__(cls)
         bundle.flat = np.zeros(net.params.shape)
-        bundle.d_weights, bundle.d_bias = _views(bundle.flat, [l.weights.shape for l in net.layers])
+        bundle.d_weights, bundle.d_bias = _views(bundle.flat, net.layout)
         return bundle
 
     def __deepcopy__(self, memo):
@@ -431,7 +451,7 @@ def _backward_projection(net: DenseNet, cache: ForwardCache, dproj: np.ndarray,
     w.r.t. the projector's input features."""
     # through z = u / |u|: du = (dz - (dz . z) z) / |u|; degenerate rows are constant
     z = cache.projection
-    draw = (dproj - (dproj * z).sum(axis=1, keepdims=True) * z) / cache.projection_norms[:, None]
+    draw = (dproj - np.einsum("ij,ij->i", dproj, z)[:, None] * z) / cache.projection_norms[:, None]
     if cache.degenerate_rows is not None and cache.degenerate_rows.any():
         draw[cache.degenerate_rows] = 0.0
     return _backward_segment(net, cache, draw, net.classifier_end, len(net.layers), bundle)
@@ -439,7 +459,8 @@ def _backward_projection(net: DenseNet, cache: ForwardCache, dproj: np.ndarray,
 
 def _softmax_chain(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
     """dL/dlogits given dL/dprobs (per row, or one row for all), through the softmax Jacobian."""
-    return probs * (dprobs - (dprobs * probs).sum(axis=1, keepdims=True))
+    dots = probs @ dprobs if dprobs.ndim == 1 else np.einsum("ij,ij->i", dprobs, probs)
+    return probs * (dprobs - dots[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +497,9 @@ def mse_term(probs: np.ndarray, targets: np.ndarray):
     semi-supervised consistency term.
     """
     n, k = probs.shape
-    value = float(np.add.reduce(((probs - targets) ** 2).sum(axis=1)) / n / k)
-    dprobs = 2.0 * (probs - targets) / (n * k)
+    diff = probs - targets
+    value = float(np.add.reduce(np.einsum("ij,ij->i", diff, diff)) / n / k)
+    dprobs = 2.0 * diff / (n * k)
     return value, _softmax_chain(probs, dprobs)
 
 
@@ -501,38 +523,46 @@ def ntxent_term(z: np.ndarray, temperature: float):
     m = len(z)
     if m % 2 != 0 or m < 2:
         raise ShapeError("contrastive batch must hold adjacent view pairs")
-    sims = z @ z.T
-    sims /= temperature
+    sims = z @ (z.T / temperature)  # one GEMM
     sims.flat[::m + 1] = -np.inf  # the diagonal
     pos = np.arange(m) ^ 1  # partner index within each pair
     pos_sims = sims[np.arange(m), pos]
     row_max = _row_max(sims)
     sims -= row_max
-    dsims = np.exp(sims, out=sims)  # in place: the similarities are not read again
-    denom = dsims.sum(axis=1, keepdims=True)
-    dsims /= denom  # row-stochastic attention, zero diagonal
-    log_denom = np.log(denom[:, 0]) + row_max[:, 0]
+    e = np.exp(sims, out=sims)  # in place: the similarities are not read again
+    denom = e.sum(axis=1)
+    log_denom = np.log(denom) + row_max[:, 0]
     value = float(np.add.reduce(-pos_sims + log_denom) / m)
-    dsims /= m
-    dsims[np.arange(m), pos] -= 1.0 / m
-    dz = (dsims + dsims.T) @ z
+    # dsims = A / m - P / m, A = s * e the row-stochastic attention (zero
+    # diagonal), P the positives' indicator; dz = (dsims + dsims.T) @ z / T,
+    # and P + P.T sends each row to its partner twice
+    s = 1.0 / (m * denom)
+    dz = e @ z
+    dz *= s[:, None]
+    dz += e.T @ (z * s[:, None])
+    dz -= (2.0 / m) * z[pos]
     dz /= temperature
     return value, dz
 
 
-def energy_bce_term(logits: np.ndarray, sign: float, temperature: float):
-    """Mean BCE on energies, clamped at -log(1e-12) per sample.
+def energy_bce_term(logits: np.ndarray, n_down: int, temperature: float):
+    """Mean BCE on energies, clamped at -log(1e-12) per sample: the mean over
+    the first n_down rows plus the mean over the rest, from one energy pass.
 
-    sign +1 pushes energies down: -log(1 - sigmoid(E)) = softplus(E);
-    sign -1 pushes them up: -log(sigmoid(E)) = softplus(-E).
+    The first n_down rows are pushed down: -log(1 - sigmoid(E)) = softplus(E);
+    the rest up: -log(sigmoid(E)) = softplus(-E). An empty part adds nothing.
     """
     e, exps, sums = _energy_parts(logits, temperature)
+    sizes = [n_down, len(e) - n_down]
+    sign = np.repeat([1.0, -1.0], sizes)
     raw = np.logaddexp(0.0, sign * e)  # softplus
     clipped = np.minimum(raw, ENERGY_BCE_CAP)
-    d_e = sign * _sigmoid(sign * e) * (raw < ENERGY_BCE_CAP) / len(e)
+    d_e = sign * _sigmoid(sign * e) * (raw < ENERGY_BCE_CAP) / np.repeat(sizes, sizes)
+    value = sum(float(np.add.reduce(part) / len(part))
+                for part in (clipped[:n_down], clipped[n_down:]) if len(part))
     # dE/dlogits = -softmax(logits / T), row-wise
     exps /= sums[:, None]
-    return float(np.add.reduce(clipped) / len(e)), d_e[:, None] * -exps
+    return value, d_e[:, None] * -exps
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +635,11 @@ def total_loss_and_grads(net: DenseNet, batch: TotalLossBatch):
     terms["prior"], d_prior = prior_kl_term(probs)
     if batch.lambda_reg > 0.0:
         dlogits[:n_main] += batch.lambda_reg * d_prior
-    for start, stop, sign in ((n_main, n_head, +1.0), (n_head, len(logits), -1.0)):
-        if stop > start:  # support rows low, outliers high
-            term, d_e = energy_bce_term(logits[start:stop], sign, batch.temperature)
-            terms["energy"] += term
-            if batch.lambda_energy > 0.0:
-                dlogits[start:stop] = batch.lambda_energy * d_e
+    if len(logits) > n_main:  # support rows low, outliers high
+        terms["energy"], d_e = energy_bce_term(logits[n_main:], n_head - n_main,
+                                               batch.temperature)
+        if batch.lambda_energy > 0.0:
+            dlogits[n_main:] = batch.lambda_energy * d_e
 
     bundle = GradientBundle.zeros(net)
     dfeat = _backward_segment(net, cache, dlogits, net.extractor_end, net.classifier_end,

@@ -3,8 +3,9 @@
 Per-sample losses (min-max normalized to [0, 1]) are modeled by a
 two-component 1-D Gaussian mixture fit with EM. Responsibilities are
 held as a (2, n) array, one row per component, so no step reduces over
-the 2-wide axis, and the M step sums each row with numpy's pairwise
-`.sum(axis=1)`. The posterior of the small-mean component (row
+the 2-wide axis: the M step takes each row's count with numpy's pairwise
+`.sum(axis=1)` and its weighted sums as one GEMV (`resp @ x`) and one
+row-wise `einsum`. The posterior of the small-mean component (row
 `small_idx`) is the per-sample clean probability; thresholding
 it splits the dataset, and a per-sample count of consecutive clean
 epochs keeps only samples that stayed on the clean side for the last
@@ -48,12 +49,11 @@ def _e_step(sq_diff: np.ndarray, variances, weights):
     """(2, n) component responsibilities and the total log-likelihood.
 
     sq_diff holds (x - mean)² per component, a (2, n) array: the M step
-    computes it for the variances, and the E step reuses it.
+    computes it for the variances, and the E step reuses it, writing the
+    log-densities and then the responsibilities over it.
     """
-    logp = sq_diff / variances[:, None]
-    logp += (_LOG_2PI + np.log(variances))[:, None]
-    logp *= -0.5
-    logp += np.log(weights)[:, None]
+    logp = np.multiply(sq_diff, (-0.5 / variances)[:, None], out=sq_diff)
+    logp += (np.log(weights) - 0.5 * (_LOG_2PI + np.log(variances)))[:, None]
     # two components: exact max and sum without a reduction over the 2-wide axis
     m = np.maximum(logp[0], logp[1])
     logp -= m
@@ -91,13 +91,12 @@ def fit_gmm_1d(losses, max_iters: int = EM_MAX_ITERS, tol: float = 1e-6) -> Gmm1
 
     resp, ll = _e_step(_sq_diff(x, means), variances, weights)
     history = [ll]
-    work = np.empty_like(resp)  # the M step's products: fresh ones raise a run's peak RSS
     for _ in range(max_iters):
         # M step, then the E step of the new parameters, which also scores them
         counts = np.maximum(resp.sum(axis=1), 1e-300)
-        means = np.multiply(resp, x, out=work).sum(axis=1) / counts
+        means = (resp @ x) / counts
         sq_diff = _sq_diff(x, means)
-        variances = np.multiply(resp, sq_diff, out=work).sum(axis=1) / counts
+        variances = np.einsum("ij,ij->i", resp, sq_diff) / counts
         variances = np.maximum(variances, VARIANCE_FLOOR)
         weights = counts / len(x)
 

@@ -21,7 +21,7 @@ def sharpen(probs: np.ndarray, temperature: float) -> np.ndarray:
     if temperature <= 0:
         raise ParameterError("sharpening temperature must be positive")
     p = np.atleast_2d(probs) ** (1.0 / temperature)
-    return p / p.sum(axis=1, keepdims=True)
+    return p / (p @ np.ones(p.shape[1]))[:, None]  # row sums as one GEMV
 
 
 def _mean(arrays: list[np.ndarray]) -> np.ndarray:
@@ -78,7 +78,10 @@ def mixup(inputs_a, targets_a, inputs_b, targets_b, alpha: float,
 def weak_augment(x: np.ndarray, feature_std: np.ndarray, rng: np.random.Generator,
                  jitter: float = 0.05) -> np.ndarray:
     """Gaussian jitter scaled per dimension by the training feature std."""
-    return x + rng.normal(size=x.shape) * (jitter * feature_std)
+    out = rng.normal(size=x.shape)
+    out *= jitter * feature_std
+    out += x
+    return out
 
 
 def strong_augment(x: np.ndarray, feature_std: np.ndarray, rng: np.random.Generator,
@@ -86,6 +89,6 @@ def strong_augment(x: np.ndarray, feature_std: np.ndarray, rng: np.random.Genera
                    dropout: float = 0.1) -> np.ndarray:
     """Jitter, then random per-dimension scaling, then dimension dropout."""
     out = weak_augment(x, feature_std, rng, jitter)
-    out = out * rng.uniform(scale_range[0], scale_range[1], size=x.shape)
-    keep = rng.random(size=x.shape) >= dropout
-    return out * keep
+    out *= rng.uniform(scale_range[0], scale_range[1], size=x.shape)
+    out *= rng.random(size=x.shape) >= dropout
+    return out

@@ -1,8 +1,8 @@
 """Formulas that `geometry` replaced, kept as oracles.
 
 `min_centroid_distances` allocates a fresh (n, d) difference for each
-centroid; the kernel runs in row blocks through one reused buffer and must
-give equal distances, bit for bit. `sample_candidates` stacks and clips
+centroid; the kernel runs in row blocks through one reused buffer, sums
+each row with an einsum, and must give equal distances to rounding. `sample_candidates` stacks and clips
 copies; the samplers fill one array in place and must draw the same bytes.
 """
 

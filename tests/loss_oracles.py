@@ -75,7 +75,7 @@ def contrastive_loss(projections: np.ndarray, temperature: float) -> float:
 # weighted term backpropagated into its own zero-filled full-net bundle, then
 # added into the step's bundle with `add_scaled`; softmax and NT-Xent in their
 # out-of-place form. `nn.total_loss_and_grads` adds each term's gradients
-# straight into one bundle and must agree with this bit for bit.
+# straight into one bundle and must agree with this to rounding.
 
 
 def softmax(logits):
@@ -146,20 +146,27 @@ def sigmoid(x):
     return out
 
 
-def energy_bce_term(logits, sign, temperature):
-    """(value, dlogits) of the clamped energy BCE, from `nn.energies` and a
-    separate `nn.softmax(logits / T)` for dE/dlogits."""
+def energy_bce_term(logits, n_down, temperature):
+    """(value, dlogits) of the clamped energy BCE, the first n_down rows pushed
+    down and the rest up, from `nn.energies` and a separate
+    `nn.softmax(logits / T)` for dE/dlogits; the value is the mean of each
+    part, summed."""
     e = nn.energies(logits, temperature)
+    down = np.arange(len(e)) < n_down
+    sign = np.where(down, 1.0, -1.0)
     raw = np.logaddexp(0.0, sign * e)
     clipped = np.minimum(raw, nn.ENERGY_BCE_CAP)
-    d_e = sign * sigmoid(sign * e) * (raw < nn.ENERGY_BCE_CAP) / len(e)
-    return float(clipped.mean()), d_e[:, None] * -nn.softmax(logits / temperature)
+    count = np.where(down, n_down, len(e) - n_down)
+    d_e = sign * sigmoid(sign * e) * (raw < nn.ENERGY_BCE_CAP) / count
+    value = sum(float(part.mean()) for part in (clipped[:n_down], clipped[n_down:]) if len(part))
+    return value, d_e[:, None] * -nn.softmax(logits / temperature)
 
 
-def _head_only_energy(net, features, sign, temperature, bundle):
-    """Energy BCE on feature-space points, its head gradients added into bundle."""
+def _head_only_energy(net, features, n_down, temperature, bundle):
+    """Energy BCE on feature-space points (the first n_down pushed down, the
+    rest up), its head gradients added into bundle."""
     cache = nn.ForwardCache([None] * len(net.layers), [None] * len(net.layers), np.empty(0))
-    term, dlogits = nn.energy_bce_term(nn.head_forward(net, features, cache), sign,
+    term, dlogits = nn.energy_bce_term(nn.head_forward(net, features, cache), n_down,
                                        temperature)
     backprop_logits(net, cache, dlogits, bundle, into_extractor=False)
     return term
@@ -170,19 +177,19 @@ def energy_bce_loss_and_grads(net, clean_inputs, outlier_features, temperature):
     value = 0.0
     if clean_inputs is not None:
         cache = nn.forward_batch(net, clean_inputs)
-        term, dlogits = nn.energy_bce_term(cache.logits, +1.0, temperature)
+        term, dlogits = nn.energy_bce_term(cache.logits, len(cache.logits), temperature)
         value += term
         backprop_logits(net, cache, dlogits, bundle)
     if outlier_features is not None:
-        value += _head_only_energy(net, outlier_features, -1.0, temperature, bundle)
+        value += _head_only_energy(net, outlier_features, 0, temperature, bundle)
     return value, bundle
 
 
 def energy_bce_head_only(net, clean_features, outlier_features, temperature):
     """(value, bundle) of the energy term on feature-space clean samples and outliers."""
     bundle = nn.GradientBundle.zeros(net)
-    value = _head_only_energy(net, clean_features, +1.0, temperature, bundle)
-    value += _head_only_energy(net, outlier_features, -1.0, temperature, bundle)
+    value = _head_only_energy(net, np.vstack([clean_features, outlier_features]),
+                              len(clean_features), temperature, bundle)
     return value, bundle
 
 

@@ -33,8 +33,9 @@ def test_criterion_1_gradient_suite():
     elapsed = time.perf_counter() - start
     worst_overall = max(worst.values())
     ok = worst_overall <= REL_TOL and elapsed < 60.0
+    per_kind = ", ".join(f"{kind} {err:.2e}" for kind, err in worst.items())
     criterion(1, ok, f"worst relative FD error {worst_overall:.2e} over "
-                     f"7 losses x 100 configs in {elapsed:.1f}s (< 60s)")
+                     f"7 losses x 100 configs ({per_kind}) in {elapsed:.1f}s (< 60s)")
 
 
 def test_criterion_2_oracle_suite():

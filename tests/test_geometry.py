@@ -202,8 +202,9 @@ class TestFilter:
             assert (d > tau) == (tuple(z) in kept)
 
     def test_min_distances_match_broadcast_formula(self):
-        # the (n, K, d) broadcast the kernel replaced; d on both sides of
-        # numpy's 8-element summation block
+        # the (n, K, d) broadcast the kernel replaced, to rounding (its row
+        # sums add in another order); d on both sides of numpy's 8-element
+        # summation block
         rng = np.random.default_rng(14)
         for k in (1, 2, 4, 7):
             for d in (2, 5, 8, 9, 16, 33):
@@ -212,19 +213,41 @@ class TestFilter:
                 diffs = cand[:, None, :] - cents.centers[None, :, :]
                 expected = np.sqrt((diffs ** 2).sum(axis=2)).min(axis=1)
                 got = geometry.min_centroid_distances(cand, cents)
-                assert np.array_equal(got, expected), (k, d)
+                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0, err_msg=f"{k}, {d}")
 
-    # the block edges of `nn.in_row_blocks`, then inputs of 3 to 15 blocks
-    @pytest.mark.parametrize("rows", [1, 639, 640, 1279, 1280, 2000, 4097, 10_000])
-    def test_min_distances_match_per_centroid_oracle(self, rows):
+    @staticmethod
+    def _fixtures(rows):
+        """(centroids, candidates) for k centroids in d dimensions, the
+        distance tests' inputs at this row count."""
         rng = np.random.default_rng(rows)
         for k in (1, 2, 4, 7):
             for d in (2, 5, 8, 9, 16, 33):
                 cents = geometry.CentroidSet(np.arange(k), rng.normal(size=(k, d)))
-                cand = rng.normal(size=(rows, d)) * rng.uniform(0.1, 10.0)
-                expected = geometry_oracle.min_centroid_distances(cand, cents.centers)
-                got = geometry.min_centroid_distances(cand, cents)
-                assert got.tobytes() == expected.tobytes(), (k, d)
+                yield cents, rng.normal(size=(rows, d)) * rng.uniform(0.1, 10.0)
+
+    # the block edges of `nn.in_row_blocks`, then inputs of 3 to 15 blocks
+    @pytest.mark.parametrize("rows", [1, 639, 640, 1279, 1280, 2000, 4097, 10_000])
+    def test_min_distances_match_per_centroid_oracle(self, rows):
+        for cents, cand in self._fixtures(rows):
+            expected = geometry_oracle.min_centroid_distances(cand, cents.centers)
+            got = geometry.min_centroid_distances(cand, cents)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0,
+                                       err_msg=f"{cents.centers.shape}")
+
+    @pytest.mark.parametrize("rows", [639, 640, 1279, 1280, 10_000])
+    def test_blocked_distances_equal_one_pass_bit_for_bit(self, rows):
+        # a row's einsum sum does not depend on the rows beside it, so the
+        # blocks give one unblocked pass's bits; the filter's accept counts
+        # are the oracle's at radii that no distance sits on
+        for cents, cand in self._fixtures(rows):
+            one_pass = np.sqrt(geometry._min_squared_distances(cand, cents.centers))
+            got = geometry.min_centroid_distances(cand, cents)
+            assert got.tobytes() == one_pass.tobytes(), cents.centers.shape
+            oracle = geometry_oracle.min_centroid_distances(cand, cents.centers)
+            for radius in (0.5, 2.0, 8.0):
+                batch = geometry.filter_outliers(cand, cents, radius)
+                assert batch.n_accepted == int((oracle > radius).sum()), (cents.centers.shape,
+                                                                         radius)
 
     # radius 5 keeps about half of the candidates, 1e9 none
     @pytest.mark.parametrize("radius", [5.0, 1e9])
@@ -260,8 +283,8 @@ class TestMeanCentroidDistance:
 def _energy_term(net, clean, outliers, temperature=1.0):
     """The energy term's value as the training step takes it: `nn.energy_bce_term`
     on the head's logits, clean features pushed low and outliers high."""
-    return sum(nn.energy_bce_term(nn.head_forward(net, features), sign, temperature)[0]
-               for features, sign in ((clean, +1.0), (outliers, -1.0)))
+    return nn.energy_bce_term(nn.head_forward(net, np.vstack([clean, outliers])), len(clean),
+                              temperature)[0]
 
 
 class TestEnergyBce:

@@ -7,9 +7,12 @@ acceptance suite. A digest may only change together with a CHANGES.md
 entry that says why the bits moved: a rounding-only change re-pins them
 once, after `benchmarks/rounding.py` has compared the reports of these
 same configs against the parent's (README, "Rounding-only changes").
-The digests were last re-pinned when report schema 2 added each main
-epoch's EM counts and dropped `disable_cl` from the config echo;
-`test_schema_2_moved_no_number` proves that re-pin kept every number.
+The digests were last re-pinned by a rounding-only change to the training
+kernels (row sums as GEMVs and einsums, NT-Xent as one GEMM, one energy
+pass per step). Before that, report schema 2 added each main epoch's EM
+counts and dropped `disable_cl` from the config echo;
+`test_schema_2_moved_no_number` maps each report back to schema 1, and
+its digests, re-pinned with the others, were the parent's at that change.
 """
 
 import hashlib
@@ -31,16 +34,16 @@ SMALL = dict(n_train=300, n_test=100, ood_n=60, warmup_epochs=2, total_epochs=8)
 GOLDEN = {
     "blobs-seed3": (
         dict(seed=3, **SMALL),
-        "fd493125a307c359ee34263d9047d031591d88169c3277b8b95a2b72a715e574",
+        "433286325b27f310ac887a0c8c618d2ac4d0c0465d1e358d1517abe35f55b98d",
     ),
     "ring-asym-seed4": (
         dict(seed=4, generator="ring-classes", n_classes=3, noise_mode="asymmetric",
              noise_rate=0.3, **SMALL),
-        "31d8f2d87a82e1f8c40fa332e201a302dd55654c7ccedaa2c314b0ec27d165ea",
+        "6efe66ac370ddf80d98dbade9945812070540dbebcb0222ede7e19d8bd1b9f1e",
     ),
     "moons-novos-seed5": (
         dict(seed=5, generator="two-moons-kd", n_classes=2, disable_vos=True, **SMALL),
-        "dacfcb7b6d8a7bc33273e10fb89e373ad3cdc223858d4d4e82cb19aa05cd874c",
+        "96ebd42f910fa8eab04e6d207b62c2d20991146ce29c2967e5a2cf2441350e91",
     ),
 }
 
@@ -50,22 +53,23 @@ GOLDEN = {
 FULL_SIZE = {
     "default-seed1": (
         RunConfig(seed=1),
-        "3d41971f2941f098eb5e066b8fe2cbeea28d4ae15313c2b30348561c9774f7d4",
+        "b5a52367410463b35c0705c8e9151625d5b5b58b122e0c6c7da0701a049ea1ea",
     ),
     "no_vos-seed1": (
         RunConfig(seed=1, disable_vos=True),
-        "d44e7bc982fcbdfa99fcefdc82d39b89a489a88cc2bca2f4e75d887269b27ac2",
+        "45f358fccf391724ffbb97945c97d216acb72128a1d5d5998ff5a58c7097fb4b",
     ),
 }
 
 # the same five reports' digests in schema 1, which had no EM counts and echoed
-# `"disable_cl": false`: the proof that schema 2 moved no number
+# `"disable_cl": false`: when schema 2 landed, these were the parent's digests,
+# the proof that it moved no number
 SCHEMA_1 = {
-    "blobs-seed3": "59ee8b02aa2b0f676bf148fa7a343c29f5ba42325d936820740005652de6194d",
-    "ring-asym-seed4": "a3c90e2bba942f486c1d1620b7b13ef3fc1679aed9341c27f39c6172c14de43d",
-    "moons-novos-seed5": "e759df01055f35d7d36d5d3b48f87b8c98ac995bb3bc1816bdcb1afd14a8f09e",
-    "default-seed1": "d3a9a5162b94b58272a45a89602c09531455b2acd3838de85062dbeaace9289a",
-    "no_vos-seed1": "02d6ccb494bc29ab4c3dcca02bf74c9acedc927ff430c0345ab7744084fab6c9",
+    "blobs-seed3": "08c0585188aee1ee3eeee1a185146ca083264509316e9e49709d154e7baf024a",
+    "ring-asym-seed4": "764cfd8af2bf5d2999f0d948c94f85c132a67f8a6d3a672569ad041bc2466574",
+    "moons-novos-seed5": "e93dada8598a22f93c7cf45a0c2e560b049ab7d9f2acd191738554a1993aa59f",
+    "default-seed1": "df3e0bd10c5a43cbcdca21f5e041bc9298350079e56b3afaa6101ea3b80dd624",
+    "no_vos-seed1": "60715c7bb33713d9817b96256e9ac13f9571e55af5afb4b5636910ac1673eacb",
 }
 
 # `noisylab ood-eval` of the blobs-seed3 run on the ID and OOD CSVs that
@@ -77,16 +81,16 @@ GOLDEN_OOD_EVAL = {"ood_far": {"auroc": 0.0, "fpr95": 1.0},
 # the dump files of the blobs-seed3 run with every dump switched on
 DUMPS = dict(dump_selection=True, dump_geometry=True, export_features=True)
 GOLDEN_DUMPS = {
-    "selection_net0.csv": "ed8dba0da4cac56613214019b40cb09445d403cb57fbb4dcfa0165f3b4e9c6da",
-    "selection_net1.csv": "e1b5dedfbaa4bc2dd677b9f3b4d19a562f65ee511f0f8e850f916e3db4e95e04",
-    "geometry_net0.jsonl": "effa08c91a1deefddd12a18a47b4f38193dc8dd7b9a4fa1bccabc6330b436426",
-    "geometry_net1.jsonl": "2b8ea80fa88cd018f9fe925b75e37eacb7779f8e49d8cef658bff67e518687ff",
-    "features/epoch_0002.csv": "48774dbcd21ff0bd7dcf3707776bb4823c434674b5f38b7e975f5da472e3ad8d",
-    "features/epoch_0003.csv": "d873e89e9b62b5572572f545e918d5ae249b6e688084f7880ef35beb0ed55d57",
-    "features/epoch_0004.csv": "0c727800530018756506f783fe52eaf70be3076c9018450331f731db7c700563",
-    "features/epoch_0005.csv": "59c818df4aa4a27a511907ede13c74444adeb30fa3d4e2e192ab88b24ecf31f5",
-    "features/epoch_0006.csv": "3c888788931184baf2329ecf7443a2b73bbc2ff57300964844e2904edcdaf89d",
-    "features/epoch_0007.csv": "3617355854c618cbb5611b584d78652c59112fae6c6244ed7fae56b25e6279ec",
+    "selection_net0.csv": "7921da21d352dc4145bd81f6263ca35b8b2e9c324e9994d5175be27a306af16e",
+    "selection_net1.csv": "7b0f5676c2a39eb6fce8dd0a3869dad4e46a6c0ff31158e4bef043d98c32591b",
+    "geometry_net0.jsonl": "add2d168af1e9a55d66e3398f4498ced886cf513b011c6ea4b6063fe9567b463",
+    "geometry_net1.jsonl": "35797191a446e5674ea2fe1c17948aade4f4cdc70c43a1576dd5e9d1ad1588db",
+    "features/epoch_0002.csv": "1315449d8992e9a8bf51cad9cf296ca503469de0561a3ec3d7acf830dafefb98",
+    "features/epoch_0003.csv": "ff408bdbe3ebbcfc013d33d10d139d11c71e4687e23d90861364820f702aebe4",
+    "features/epoch_0004.csv": "113fc716f8fc3d1e47da4256b7fe81cf8770a44e696c35aea405ccf7d81eed02",
+    "features/epoch_0005.csv": "2daf8509cb53df4fe853fde57c1f244c65373053852fff7de5b5739afc72d324",
+    "features/epoch_0006.csv": "cebf5c6525f917a8e07179b4f6a9a8516e5613df57cdfcf15897254cbc39838b",
+    "features/epoch_0007.csv": "f491c694a56fa57c42a2fedfe4e9beb4f422282d3c33e31e10cea3cb7bca03f4",
 }
 
 # perfbench targets a training run never calls: CSV readers, ood-eval and the CLI

@@ -218,11 +218,8 @@ class TestEnergy:
         with pytest.raises(ParameterError):
             nn.energies(np.zeros(3), 0.0)
 
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    @pytest.mark.parametrize("temperature", [0.1, 0.5, 1.0, 2.5])
-    def test_bce_term_matches_energies_and_softmax_bit_for_bit(self, sign, temperature):
-        # one exp for the energy and its gradient gives the same bits as
-        # energies() plus a separate softmax; the large rows reach the clamp
+    @staticmethod
+    def _bce_logits():
         rng = np.random.default_rng(11)
         logits = rng.normal(scale=4.0, size=(64, 8))
         logits[0] += 600.0
@@ -230,8 +227,26 @@ class TestEnergy:
         logits[2, 5] = 1e4
         logits[3, 2] = -1e4
         logits[4] = [30.0, -30.0] * 4
-        value, dlogits = nn.energy_bce_term(logits, sign, temperature)
-        want_value, want_dlogits = loss_oracles.energy_bce_term(logits, sign, temperature)
+        return logits
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("temperature", [0.1, 0.5, 1.0, 2.5])
+    def test_bce_term_matches_energies_and_softmax_bit_for_bit(self, sign, temperature):
+        # one exp for the energy and its gradient gives the same bits as
+        # energies() plus a separate softmax; the large rows reach the clamp.
+        # sign +1 pushes every row down, -1 every row up
+        logits = self._bce_logits()
+        self._assert_bce_term_bits(logits, len(logits) if sign > 0 else 0, temperature)
+
+    @pytest.mark.parametrize("temperature", [0.1, 0.5, 1.0, 2.5])
+    def test_split_bce_term_matches_energies_and_softmax_bit_for_bit(self, temperature):
+        # 23 rows pushed down, 41 up, both parts in one energy pass
+        self._assert_bce_term_bits(self._bce_logits(), 23, temperature)
+
+    @staticmethod
+    def _assert_bce_term_bits(logits, n_down, temperature):
+        value, dlogits = nn.energy_bce_term(logits, n_down, temperature)
+        want_value, want_dlogits = loss_oracles.energy_bce_term(logits, n_down, temperature)
         assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
         assert dlogits.tobytes() == want_dlogits.tobytes()
 
@@ -252,11 +267,38 @@ ROW_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, -np.inf, 1.0, -1.0]),
                         st.floats(-50.0, 50.0))
 
 
+# `nn`'s kernels with the row maximum taken by `max`: its row sums are GEMVs
+# with a ones vector, its NT-Xent similarities one GEMM
+
+
+def _ones_sums(a):
+    return a @ np.ones(a.shape[-1])
+
+
+def softmax_by_max(logits):
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / _ones_sums(e)[..., None]
+
+
 def energies_by_max(logits, temperature):
     """-T * logsumexp(logits / T) along the last axis, shifted by `max`."""
     shifted = logits / temperature
     m = shifted.max(axis=-1, keepdims=True)
-    return -temperature * (m[..., 0] + np.log(np.exp(shifted - m).sum(axis=-1)))
+    return -temperature * (m[..., 0] + np.log(_ones_sums(np.exp(shifted - m))))
+
+
+def ntxent_by_max(z, temperature):
+    m = len(z)
+    sims = z @ (z.T / temperature)
+    np.fill_diagonal(sims, -np.inf)
+    pos = np.arange(m) ^ 1
+    row_max = sims.max(axis=1, keepdims=True)
+    e = np.exp(sims - row_max)
+    denom = e.sum(axis=1)
+    value = float(np.add.reduce(-sims[np.arange(m), pos] + (np.log(denom) + row_max[:, 0])) / m)
+    s = (1.0 / (m * denom))[:, None]
+    dz = (e @ z) * s + e.T @ (z * s) - (2.0 / m) * z[pos]
+    return value, dz / temperature
 
 
 def same_bits(got, want):
@@ -276,7 +318,7 @@ class TestRowMax:
         assert m.shape == logits.max(axis=-1, keepdims=True).shape
         assert np.array_equal(m, logits.max(axis=-1, keepdims=True))
         with np.errstate(invalid="ignore"):  # a row of only -inf gives nan on both sides
-            assert same_bits(nn.softmax(logits), loss_oracles.softmax(logits))
+            assert same_bits(nn.softmax(logits), softmax_by_max(logits))
             for temperature in (1.0, 0.5):
                 assert same_bits(nn.energies(logits, temperature),
                                  energies_by_max(logits, temperature))
@@ -288,7 +330,7 @@ class TestRowMax:
     def test_ntxent_keeps_the_bits_of_max(self, z):
         # small exact entries: many tied similarities, zero rows and signed zeros
         value, dz = nn.ntxent_term(z, 0.5)
-        want_value, want_dz = loss_oracles.ntxent_term(z, 0.5)
+        want_value, want_dz = ntxent_by_max(z, 0.5)
         assert same_bits(value, want_value) and same_bits(dz, want_dz)
 
     def test_a_signed_zero_tie_gives_the_first_zero(self):
