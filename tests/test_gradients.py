@@ -1,9 +1,7 @@
 """Analytic gradients vs the finite-difference oracle.
 
 Every loss must agree with finite differences (central, extrapolated) to
-1e-4 relative error over 100 seeded random configurations: acceptance
-criterion 1 (`tests/test_acceptance.py`) runs that suite of every kind.
-The tests here check single configurations and the step's composition.
+1e-4 relative error over 100 seeded random configurations.
 """
 
 import numpy as np
@@ -12,7 +10,16 @@ import pytest
 import loss_oracles
 from noisylab import nn
 from gradcheck import (REL_TOL, finite_difference_grads, logit_term_loss, max_relative_error,
-                       sample_config)
+                       run_suite, sample_config)
+
+ALL_KINDS = ["ce", "gce", "mse", "prior_kl", "contrastive", "energy_bce", "total"]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_gradient_fidelity(kind):
+    worst = run_suite(kind, n_configs=100, seed_base=1000)
+    assert worst <= REL_TOL, f"{kind}: worst relative error {worst:.3e}"
+
 
 @pytest.mark.parametrize("seed", [735, 1314])
 def test_curved_configs_pass_the_extrapolated_reference(seed):
