@@ -19,8 +19,9 @@ run to the iteration cap; `nn.total_loss_and_grads` on a default-shaped
 batch (the default net, 128 labeled, 128 unlabeled and 128 contrast rows,
 64 support rows and 64 outliers); `nn.sgd_step` of the default net with
 the gradients of that batch, the default learning rate and weight decay,
-and a momentum state; `nn.softmax` of 256 logit rows of width 4 (a step's
-labeled and unlabeled rows); `nn.ntxent_term` on 128 unit rows of
+and the momentum state that one untimed first step returns (so each tree
+builds its own kind of state); `nn.softmax` of 256 logit rows of width 4
+(a step's labeled and unlabeled rows); `nn.ntxent_term` on 128 unit rows of
 width 32; `data.read_dataset_csv` of a 20k-row dataset CSV and
 `data.read_features_csv` of a 1k-row feature CSV (both 8 features, written
 once by the first tree's writers, so every tree reads the same bytes);
@@ -141,7 +142,7 @@ def _calls(np, tree, inputs: dict) -> dict:
         lambda_cl=cfg.lambda_cl, lambda_energy=cfg.lambda_energy,
         temperature=cfg.energy_temperature, contrast_temperature=cfg.contrast_temperature)
     grads = nn.total_loss_and_grads(sgd_net, batch)[2]
-    state = nn.GradientBundle.zeros(sgd_net)
+    state = nn.sgd_step(sgd_net, grads, cfg.lr, cfg.weight_decay, cfg.momentum, state=None)
     id_s, ood_s = inputs["id_scores"], inputs["ood_scores"]
     centroids = tree.geometry.CentroidSet(np.arange(CENTROIDS), inputs["centroids"])
     return {"fit_gmm_1d": lambda: tree.partition.fit_gmm_1d(inputs["losses"]),

@@ -186,7 +186,8 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         context = ""
         if exc.epoch is not None:
-            context = f" (epoch {exc.epoch}, batch {exc.batch})"
+            batch = "" if exc.batch is None else f", batch {exc.batch}"
+            context = f" (epoch {exc.epoch}{batch})"
         print(f"training error: {exc}{context}", file=sys.stderr)
         return EXIT_TRAINING
     except NoisylabError as exc:  # e.g. inputs that drive the nets' scores non-finite

@@ -53,10 +53,6 @@ class OutlierBatch:
     n_candidates: int
     n_accepted: int
 
-    @property
-    def acceptance_rate(self) -> float:
-        return self.n_accepted / self.n_candidates if self.n_candidates else 0.0
-
 
 def estimate_envelope(features: np.ndarray) -> Envelope:
     """Component-wise min/max box over the support features."""

@@ -74,6 +74,19 @@ def _beyond_limits(exc: Exception) -> ConfigError:
                        f"{str(exc) or 'out of memory'}")
 
 
+@contextmanager
+def _epoch_rule(epoch: int):
+    """Run a training epoch: numpy's divide, overflow and invalid errors raise,
+    and one raised outside an SGD step (in the full-set passes, the GMM, the
+    geometry or the test accuracy) stops the run as a TrainingError naming
+    the epoch. `_sgd_steps` names the step of one raised inside it."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise TrainingError(f"floating-point error: {exc}", epoch=epoch) from exc
+
+
 def build_datasets(config: RunConfig):
     """Train (noisy), test (clean), and the two OOD input sets.
 
@@ -120,14 +133,27 @@ def load_model(path) -> nn.DenseNet:
     """The net `save_model` wrote; ConfigError if the file is not such a model."""
     try:
         with np.load(path, allow_pickle=False) as blob:
-            activations = [str(a) for a in blob["activations"]]
-            layers = [nn.DenseLayer(blob[f"w{i}"], blob[f"b{i}"], act)
+            activations, splits = blob["activations"], blob["splits"]
+            if activations.ndim != 1:
+                raise ValueError(f"activations has shape {activations.shape}, not 1-D")
+            if splits.shape != (2,) or splits.dtype.kind not in "iu":
+                raise ValueError(f"splits is {splits.dtype} of shape {splits.shape}, "
+                                 "not two integers")
+            layers = [nn.DenseLayer(_real(blob, f"w{i}"), _real(blob, f"b{i}"), str(act))
                       for i, act in enumerate(activations)]
-            splits = blob["splits"]
             return nn.DenseNet(layers, int(splits[0]), int(splits[1]))
     # ValueError covers numpy's unreadable-file errors and the nets' ShapeError
     except (ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"{path}: not a saved noisylab model: {exc}") from exc
+
+
+def _real(blob, key: str) -> np.ndarray:
+    """blob[key]; ValueError unless it holds real numbers (a complex array
+    would lose its imaginary parts to float64)."""
+    array = blob[key]
+    if array.dtype.kind not in "biuf":
+        raise ValueError(f"{key} holds {array.dtype}, not real numbers")
+    return array
 
 
 # ---------------------------------------------------------------------------
@@ -381,30 +407,28 @@ class Experiment:
 
     def _sgd_steps(self, k: int, epoch: int, batches, loss_and_grads, terms=()) -> dict:
         """Net k's SGD steps, one per batch, on `loss_and_grads(net, batch)`: the loss,
-        a dict holding its `terms`, and the gradient bundle. numpy's divide,
-        overflow and invalid errors raise, and the first of them or a non-finite
-        loss or gradient stops the run with a TrainingError naming the epoch and
-        step. Returns the mean loss ("loss_total"), each term's mean ("loss_<term>")
+        a dict holding its `terms`, and the gradient vector. Run under
+        `_epoch_rule`: the first floating-point error or a non-finite loss or
+        gradient stops the run with a TrainingError naming the epoch and step.
+        Returns the mean loss ("loss_total"), each term's mean ("loss_<term>")
         and the first step's terms ("first_batch_terms")."""
         cfg = self.config
         sums = dict.fromkeys(("loss_total",) + tuple(f"loss_{t}" for t in terms), 0.0)
         first_terms = None
         n_steps = 0
         try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                for batch in batches:
-                    value, step_terms, bundle = loss_and_grads(self.nets[k], batch)
-                    if not np.isfinite(value) or not bundle.is_finite():
-                        raise FloatingPointError("non-finite loss or gradient")
-                    self.opt_states[k] = nn.sgd_step(self.nets[k], bundle, cfg.lr,
-                                                     cfg.weight_decay, cfg.momentum,
-                                                     self.opt_states[k])
-                    if first_terms is None:
-                        first_terms = step_terms
-                    sums["loss_total"] += value
-                    for t in terms:
-                        sums[f"loss_{t}"] += step_terms[t]
-                    n_steps += 1
+            for batch in batches:
+                value, step_terms, grad = loss_and_grads(self.nets[k], batch)
+                if not np.isfinite(value) or not np.isfinite(grad).all():
+                    raise FloatingPointError("non-finite loss or gradient")
+                self.opt_states[k] = nn.sgd_step(self.nets[k], grad, cfg.lr, cfg.weight_decay,
+                                                 cfg.momentum, self.opt_states[k])
+                if first_terms is None:
+                    first_terms = step_terms
+                sums["loss_total"] += value
+                for t in terms:
+                    sums[f"loss_{t}"] += step_terms[t]
+                n_steps += 1
         except FloatingPointError as exc:
             raise TrainingError(f"floating-point error (net {k}): {exc}", epoch=epoch,
                                 batch=n_steps) from exc
@@ -420,28 +444,30 @@ class Experiment:
         x, y = self.view.features, self.view.noisy_labels
 
         def gce(net, ids):
-            value, bundle = nn.gce_loss_and_grads(net, x[ids], y[ids], cfg.gce_q)
-            return value, {}, bundle
+            value, grad = nn.gce_loss_and_grads(net, x[ids], y[ids], cfg.gce_q)
+            return value, {}, grad
 
         for epoch in range(cfg.warmup_epochs):
-            gce_means = []
-            for k in range(self.n_nets):
-                order = self.streams["warmup_shuffle"].permutation(cfg.n_train)
-                batches = (order[s:s + cfg.batch_size]
-                           for s in range(0, cfg.n_train, cfg.batch_size))
-                gce_means.append(self._sgd_steps(k, epoch, batches, gce)["loss_total"])
-            self.report.epochs.append(self._record(
-                epoch=epoch, phase="warmup", loss_total=float(np.mean(gce_means)),
-                test_accuracy=self._test_accuracy()))
+            with _epoch_rule(epoch):
+                gce_means = []
+                for k in range(self.n_nets):
+                    order = self.streams["warmup_shuffle"].permutation(cfg.n_train)
+                    batches = (order[s:s + cfg.batch_size]
+                               for s in range(0, cfg.n_train, cfg.batch_size))
+                    gce_means.append(self._sgd_steps(k, epoch, batches, gce)["loss_total"])
+                self.report.epochs.append(self._record(
+                    epoch=epoch, phase="warmup", loss_total=float(np.mean(gce_means)),
+                    test_accuracy=self._test_accuracy()))
 
     # -- one main epoch ----------------------------------------------------
 
     def run_epoch(self, epoch: int):
-        norm_losses = [partition.normalize_losses(self._per_sample_gce(net))
-                       for net in self.nets]
-        rows = [self._net_epoch(k, epoch, norm_losses) for k in range(self.n_nets)]
-        record = self._record(epoch=epoch, phase="main", **mean_of_net_rows(rows),
-                              test_accuracy=self._test_accuracy())
+        with _epoch_rule(epoch):
+            norm_losses = [partition.normalize_losses(self._per_sample_gce(net))
+                           for net in self.nets]
+            rows = [self._net_epoch(k, epoch, norm_losses) for k in range(self.n_nets)]
+            record = self._record(epoch=epoch, phase="main", **mean_of_net_rows(rows),
+                                  test_accuracy=self._test_accuracy())
         self.report.epochs.append(record)
         return record
 

@@ -11,7 +11,8 @@ term and the combined objective against central finite differences.
 
 A training step is one pass: the extractor and each head run once, each
 weighted term's upstream gradient is scaled by its lambda, and backprop
-adds every parameter gradient into one flat `GradientBundle`.
+adds every parameter gradient into one float64 vector laid out as the
+net's `params`. SGD velocities are vectors of that layout too.
 """
 
 from __future__ import annotations
@@ -68,7 +69,9 @@ class DenseNet:
     The net owns one C-contiguous float64 vector, `params`, holding every
     parameter layer by layer (weights, then bias), and each layer's
     `weights` and `bias` are reshaped views of it, so that `sgd_step`
-    updates the whole net in a few vector operations. Construction copies
+    updates the whole net in a few vector operations. Gradients and SGD
+    velocities are vectors of the same layout; `layout` holds each layer's
+    (weight slice, weight shape, bias slice) of it. Construction copies
     the given layers' arrays into `params` and gives the net layer objects
     of its own; the given ones are left as they were. Assign into a layer's
     arrays in place (`layer.bias[:] = ...`): rebinding one detaches it from
@@ -79,7 +82,7 @@ class DenseNet:
     extractor_end: int
     classifier_end: int
     params: np.ndarray = field(init=False, repr=False, compare=False)
-    layout: tuple = field(init=False, repr=False, compare=False)  # see `_layout`
+    layout: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (1 <= self.extractor_end <= self.classifier_end <= len(self.layers)):
@@ -94,11 +97,16 @@ class DenseNet:
             for i in range(head_start, head_end):
                 if self.layers[i].in_dim != widths[i - head_start]:
                     raise ShapeError("head widths disagree with extractor output")
-        self.params = _pack([l.weights for l in self.layers], [l.bias for l in self.layers])
-        self.layout = _layout([l.weights.shape for l in self.layers])
-        weights, biases = _views(self.params, self.layout)
-        self.layers = [DenseLayer(w, b, l.activation)
-                       for w, b, l in zip(weights, biases, self.layers)]
+        layout, start = [], 0
+        for layer in self.layers:
+            end = start + layer.weights.size
+            layout.append((slice(start, end), layer.weights.shape, slice(end, end + layer.out_dim)))
+            start = end + layer.out_dim
+        self.layout = tuple(layout)
+        self.params = np.concatenate([np.ravel(a) for l in self.layers
+                                      for a in (l.weights, l.bias)], dtype=np.float64)
+        self.layers = [DenseLayer(self.params[w].reshape(shape), self.params[b], l.activation)
+                       for (w, shape, b), l in zip(self.layout, self.layers)]
 
     def __deepcopy__(self, memo):
         return DenseNet(self.layers, self.extractor_end, self.classifier_end)  # packs a copy
@@ -114,31 +122,6 @@ class DenseNet:
     @property
     def n_classes(self) -> int:
         return self.layers[self.classifier_end - 1].out_dim
-
-
-def _pack(weights: list[np.ndarray], biases: list[np.ndarray]) -> np.ndarray:
-    """One fresh float64 vector holding each layer's weights, then its bias, layer by layer."""
-    return np.concatenate([np.ravel(a) for pair in zip(weights, biases) for a in pair],
-                          dtype=np.float64)
-
-
-def _layout(shapes) -> tuple[tuple[tuple[slice, tuple[int, int]], ...], tuple[slice, ...]]:
-    """((weight slice, weight shape) per layer, bias slice per layer) of a
-    vector `_pack` laid out for weights of these shapes."""
-    weights, biases, start = [], [], 0
-    for out_dim, in_dim in shapes:
-        end = start + out_dim * in_dim
-        weights.append((slice(start, end), (out_dim, in_dim)))
-        biases.append(slice(end, end + out_dim))
-        start = end + out_dim
-    return tuple(weights), tuple(biases)
-
-
-def _views(flat: np.ndarray, layout) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(weight views, bias views) of flat, laid out as `_layout` gives."""
-    weight_slices, bias_slices = layout
-    return ([flat[s].reshape(shape) for s, shape in weight_slices],
-            [flat[s] for s in bias_slices])
 
 
 def build_network(input_dim: int, n_classes: int, hidden=(64, 64), projection_dim: int = 32,
@@ -384,44 +367,15 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# gradient bundles and backprop
-
-
-class GradientBundle:
-    """Per-parameter arrays mirroring a DenseNet: its gradients, or its SGD velocities.
-
-    Like the net's layers, `d_weights` and `d_bias` are views of one vector,
-    `flat`, laid out as `DenseNet.params`. A bundle built from lists copies
-    them into it.
-    """
-
-    def __init__(self, d_weights: list[np.ndarray], d_bias: list[np.ndarray]):
-        shapes = [np.shape(w) for w in d_weights]
-        if [np.shape(b) for b in d_bias] != [shape[:1] for shape in shapes]:
-            raise ShapeError("each bias must be 1-D, as long as its weights' first axis")
-        self.flat = _pack(d_weights, d_bias)
-        self.d_weights, self.d_bias = _views(self.flat, _layout(shapes))
-
-    @classmethod
-    def zeros(cls, net: DenseNet) -> "GradientBundle":
-        """Zero arrays laid out as net's parameters (its `layout`, computed once)."""
-        bundle = cls.__new__(cls)
-        bundle.flat = np.zeros(net.params.shape)
-        bundle.d_weights, bundle.d_bias = _views(bundle.flat, net.layout)
-        return bundle
-
-    def __deepcopy__(self, memo):
-        return GradientBundle(self.d_weights, self.d_bias)  # packs a copy
-
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
+# backprop
 
 
 def _backward_segment(net: DenseNet, cache: ForwardCache, dout: np.ndarray,
-                      start: int, end: int, bundle: GradientBundle):
+                      start: int, end: int, grad: np.ndarray):
     """Backprop dout through layers [start, end), adding each layer's
-    parameter gradients into bundle and consuming its cached arrays (a ReLU
-    layer's gradient is written over its pre-activations).
+    parameter gradients into its slices (`net.layout`) of the vector grad
+    and consuming its cached arrays (a ReLU layer's gradient is written over
+    its pre-activations).
 
     Returns the gradient w.r.t. the segment's input. The input gradient of
     layer 0 is never computed (no parameter sits below it), so a segment
@@ -431,30 +385,31 @@ def _backward_segment(net: DenseNet, cache: ForwardCache, dout: np.ndarray,
         layer = net.layers[i]
         if layer.activation == "relu":
             dout = np.multiply(dout, cache.preacts[i] > 0.0, out=cache.preacts[i])
-        bundle.d_weights[i] += dout.T @ cache.inputs[i]
-        bundle.d_bias[i] += dout.sum(axis=0)
+        w, _, b = net.layout[i]
+        grad[w] += (dout.T @ cache.inputs[i]).ravel()
+        grad[b] += dout.sum(axis=0)
         cache.inputs[i] = cache.preacts[i] = None
         dout = dout @ layer.weights if i > 0 else None
     return dout
 
 
 def backprop_logits(net: DenseNet, cache: ForwardCache, dlogits: np.ndarray,
-                    bundle: GradientBundle) -> None:
-    """Add the parameter gradients of dlogits, through head and extractor, into bundle."""
-    dfeat = _backward_segment(net, cache, dlogits, net.extractor_end, net.classifier_end, bundle)
-    _backward_segment(net, cache, dfeat, 0, net.extractor_end, bundle)
+                    grad: np.ndarray) -> None:
+    """Add the parameter gradients of dlogits, through head and extractor, into the vector grad."""
+    dfeat = _backward_segment(net, cache, dlogits, net.extractor_end, net.classifier_end, grad)
+    _backward_segment(net, cache, dfeat, 0, net.extractor_end, grad)
 
 
 def _backward_projection(net: DenseNet, cache: ForwardCache, dproj: np.ndarray,
-                         bundle: GradientBundle) -> np.ndarray:
-    """Add dproj's projector gradients into bundle; returns the gradient
-    w.r.t. the projector's input features."""
+                         grad: np.ndarray) -> np.ndarray:
+    """Add dproj's projector gradients into the vector grad; returns the
+    gradient w.r.t. the projector's input features."""
     # through z = u / |u|: du = (dz - (dz . z) z) / |u|; degenerate rows are constant
     z = cache.projection
     draw = (dproj - np.einsum("ij,ij->i", dproj, z)[:, None] * z) / cache.projection_norms[:, None]
     if cache.degenerate_rows is not None and cache.degenerate_rows.any():
         draw[cache.degenerate_rows] = 0.0
-    return _backward_segment(net, cache, draw, net.classifier_end, len(net.layers), bundle)
+    return _backward_segment(net, cache, draw, net.classifier_end, len(net.layers), grad)
 
 
 def _softmax_chain(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
@@ -570,12 +525,12 @@ def energy_bce_term(logits: np.ndarray, n_down: int, temperature: float):
 
 
 def gce_loss_and_grads(net: DenseNet, x: np.ndarray, y: np.ndarray, q: float = 0.7):
-    """Mean GCE loss over the batch and its gradients."""
+    """Mean GCE loss over the batch and its gradient, a vector laid out as net.params."""
     cache = forward_batch(net, x)
     value, dlogits = gce_term(softmax(cache.logits), y, q)
-    bundle = GradientBundle.zeros(net)
-    backprop_logits(net, cache, dlogits, bundle)
-    return value, bundle
+    grad = np.zeros_like(net.params)
+    backprop_logits(net, cache, dlogits, grad)
+    return value, grad
 
 
 @dataclass
@@ -602,13 +557,14 @@ def _nonempty(a: np.ndarray | None) -> np.ndarray | None:
 
 
 def total_loss_and_grads(net: DenseNet, batch: TotalLossBatch):
-    """Full training objective in one pass; returns (value, per-term dict, gradients).
+    """Full training objective in one pass; returns (value, per-term dict, gradient),
+    the gradient a vector laid out as net.params.
 
     The extractor runs on the labeled, unlabeled, support and contrast rows
     stacked, the classifier head on the main and support features with the
     outliers appended, the projector on the contrast features. Each term's
     upstream gradient is scaled by its lambda, only when lambda > 0 (0 * inf
-    is nan), before one backprop into one bundle. Every term's value is
+    is nan), before one backprop into one vector. Every term's value is
     reported.
     """
     terms = dict.fromkeys(LOSS_TERMS, 0.0)
@@ -641,37 +597,38 @@ def total_loss_and_grads(net: DenseNet, batch: TotalLossBatch):
         if batch.lambda_energy > 0.0:
             dlogits[n_main:] = batch.lambda_energy * d_e
 
-    bundle = GradientBundle.zeros(net)
+    grad = np.zeros_like(net.params)
     dfeat = _backward_segment(net, cache, dlogits, net.extractor_end, net.classifier_end,
-                              bundle)[:n_head]
+                              grad)[:n_head]
     if views is not None:
         _project(net, cache.features[n_head:], cache)
         terms["contrastive"], dproj = ntxent_term(cache.projection, batch.contrast_temperature)
-        d_views = (_backward_projection(net, cache, batch.lambda_cl * dproj, bundle)
+        d_views = (_backward_projection(net, cache, batch.lambda_cl * dproj, grad)
                    if batch.lambda_cl > 0.0 else np.zeros((len(views), net.feature_dim)))
         dfeat = np.vstack([dfeat, d_views])
-    _backward_segment(net, cache, dfeat, 0, net.extractor_end, bundle)
+    _backward_segment(net, cache, dfeat, 0, net.extractor_end, grad)
 
     value = (terms["labeled"] + batch.lambda_u * terms["unlabeled"]
              + batch.lambda_reg * terms["prior"] + batch.lambda_cl * terms["contrastive"]
              + batch.lambda_energy * terms["energy"])
-    return value, terms, bundle
+    return value, terms, grad
 
 
 # ---------------------------------------------------------------------------
 # optimizer
 
 
-def sgd_step(net: DenseNet, grads: GradientBundle, lr: float, weight_decay: float = 0.0,
-             momentum: float = 0.0, state: GradientBundle | None = None) -> GradientBundle:
-    """In-place momentum SGD update; returns the (possibly fresh) velocities."""
+def sgd_step(net: DenseNet, grad: np.ndarray, lr: float, weight_decay: float = 0.0,
+             momentum: float = 0.0, state: np.ndarray | None = None) -> np.ndarray:
+    """In-place momentum SGD update of net.params by the vector grad; returns
+    the (possibly fresh) velocity vector, updated in place when given."""
     if lr <= 0:
         raise ParameterError(f"learning rate must be positive, got {lr}")
     if state is None:
-        state = GradientBundle.zeros(net)
+        state = np.zeros_like(net.params)
     # each parameter sees the operations of a per-layer update, in its order
-    g = grads.flat + weight_decay * net.params
-    state.flat *= momentum
-    state.flat += g
-    net.params -= lr * state.flat
+    g = grad + weight_decay * net.params
+    state *= momentum
+    state += g
+    net.params -= lr * state
     return state

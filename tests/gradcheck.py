@@ -48,15 +48,12 @@ def finite_difference_grads(net, value_fn, h=FD_STEP):
     return grads
 
 
-def max_relative_error(bundle, fd_grads):
-    analytic = []
-    for dw, db in zip(bundle.d_weights, bundle.d_bias):
-        analytic.extend([dw, db])
-    worst = 0.0
-    for a, f in zip(analytic, fd_grads):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-6)
-        worst = max(worst, float((np.abs(a - f) / denom).max()))
-    return worst
+def max_relative_error(grad, fd_grads):
+    """Worst relative error of the gradient vector grad against the
+    finite-difference arrays, concatenated in parameter order."""
+    fd = np.concatenate([f.ravel() for f in fd_grads])
+    denom = np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-6)
+    return float((np.abs(grad - fd) / denom).max())
 
 
 def random_small_net(rng, with_projection=True):
@@ -102,28 +99,28 @@ def _energies_unsaturated(net, feats_or_inputs, temperature, through_extractor):
 
 
 def logit_term_loss(net, x, term):
-    """(value, bundle) of a probability-space term on the logits of x."""
+    """(value, gradient vector) of a probability-space term on the logits of x."""
     cache = nn.forward_batch(net, x)
     value, dlogits = term(nn.softmax(cache.logits))
-    bundle = nn.GradientBundle.zeros(net)
-    nn.backprop_logits(net, cache, dlogits, bundle)
-    return value, bundle
+    grad = np.zeros_like(net.params)
+    nn.backprop_logits(net, cache, dlogits, grad)
+    return value, grad
 
 
 def projection_term_loss(net, views, term):
-    """(value, bundle) of a term on the unit projections of views."""
+    """(value, gradient vector) of a term on the unit projections of views."""
     cache = nn.forward_batch(net, views, want_logits=False, want_projection=True)
     value, dproj = term(cache.projection)
-    bundle = nn.GradientBundle.zeros(net)
-    dfeat = nn._backward_projection(net, cache, dproj, bundle)  # the training step's path
-    nn._backward_segment(net, cache, dfeat, 0, net.extractor_end, bundle)
-    return value, bundle
+    grad = np.zeros_like(net.params)
+    dfeat = nn._backward_projection(net, cache, dproj, grad)  # the training step's path
+    nn._backward_segment(net, cache, dfeat, 0, net.extractor_end, grad)
+    return value, grad
 
 
 def sample_config(kind, seed, q=0.7, temperature=1.0, contrast_temperature=0.5):
     """Draw a smooth random (net, inputs, loss_fn) configuration.
 
-    loss_fn() returns (value, gradient bundle); inputs holds the sampled
+    loss_fn() returns (value, gradient vector); inputs holds the sampled
     arrays by name. Deterministically walks seeds until the sampled point
     clears all non-smooth regions, so the finite-difference oracle applies.
     """
@@ -197,8 +194,8 @@ def sample_config(kind, seed, q=0.7, temperature=1.0, contrast_temperature=0.5):
                 continue
 
             def total_loss():
-                value, _, bundle = nn.total_loss_and_grads(net, total)
-                return value, bundle
+                value, _, grad = nn.total_loss_and_grads(net, total)
+                return value, grad
 
             return net, {"total": total}, total_loss
         raise ValueError(f"unknown kind {kind!r}")
@@ -210,7 +207,7 @@ def run_suite(kind, n_configs=100, seed_base=0):
     worst = 0.0
     for s in range(n_configs):
         net, _, loss_fn = sample_config(kind, seed_base + s)
-        bundle = loss_fn()[1]
+        grad = loss_fn()[1]
         fd = finite_difference_grads(net, lambda: loss_fn()[0])
-        worst = max(worst, max_relative_error(bundle, fd))
+        worst = max(worst, max_relative_error(grad, fd))
     return worst

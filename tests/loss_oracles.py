@@ -9,7 +9,8 @@ kept as an oracle, and `energy_bce_term` the composition of the energy
 term's value and gradient that it replaced. `sgd_step` is the per-layer
 update that `nn.sgd_step` replaced with operations on whole parameter
 vectors, and `sigmoid` the masked two-branch logistic that `nn._sigmoid`
-replaced with one shared exp.
+replaced with one shared exp. Gradients and velocities are vectors laid
+out as `net.params`; `layer_views` gives their per-layer arrays.
 """
 
 import numpy as np
@@ -72,10 +73,10 @@ def contrastive_loss(projections: np.ndarray, temperature: float) -> float:
 
 # ---------------------------------------------------------------------------
 # The training step's gradients as `noisylab.nn` used to compose them: each
-# weighted term backpropagated into its own zero-filled full-net bundle, then
-# added into the step's bundle with `add_scaled`; softmax and NT-Xent in their
-# out-of-place form. `nn.total_loss_and_grads` adds each term's gradients
-# straight into one bundle and must agree with this to rounding.
+# weighted term backpropagated into its own zero-filled gradient vector, then
+# added into the step's vector scaled by its lambda; softmax and NT-Xent in
+# their out-of-place form. `nn.total_loss_and_grads` adds each term's
+# gradients straight into one vector and must agree with this to rounding.
 
 
 def softmax(logits):
@@ -102,30 +103,30 @@ def ntxent_term(z, temperature):
     return value, dz
 
 
-def add_scaled(bundle, other, scale):
-    for dw, ow in zip(bundle.d_weights, other.d_weights):
-        dw += scale * ow
-    for db, ob in zip(bundle.d_bias, other.d_bias):
-        db += scale * ob
+def layer_views(net, vector):
+    """(weight views, bias views), one per layer, of a vector laid out as net.params."""
+    return ([vector[w].reshape(shape) for w, shape, _ in net.layout],
+            [vector[b] for _, _, b in net.layout])
 
 
-def _backward_segment(net, cache, dout, start, end, bundle):
+def _backward_segment(net, cache, dout, start, end, grad):
+    d_weights, d_bias = layer_views(net, grad)
     for i in reversed(range(start, end)):
         layer = net.layers[i]
         dpre = dout * (cache.preacts[i] > 0.0) if layer.activation == "relu" else dout
-        bundle.d_weights[i] += dpre.T @ cache.inputs[i]
-        bundle.d_bias[i] += dpre.sum(axis=0)
+        d_weights[i] += dpre.T @ cache.inputs[i]
+        d_bias[i] += dpre.sum(axis=0)
         dout = dpre @ layer.weights
     return dout
 
 
-def backprop_logits(net, cache, dlogits, bundle, into_extractor=True):
-    dfeat = _backward_segment(net, cache, dlogits, net.extractor_end, net.classifier_end, bundle)
+def backprop_logits(net, cache, dlogits, grad, into_extractor=True):
+    dfeat = _backward_segment(net, cache, dlogits, net.extractor_end, net.classifier_end, grad)
     if into_extractor:
-        _backward_segment(net, cache, dfeat, 0, net.extractor_end, bundle)
+        _backward_segment(net, cache, dfeat, 0, net.extractor_end, grad)
 
 
-def backprop_projection(net, cache, dproj, bundle):
+def backprop_projection(net, cache, dproj, grad):
     u, z = cache.projection_raw, cache.projection
     norms = np.linalg.norm(u, axis=1, keepdims=True)
     norms = np.where(norms < 1e-30, 1.0, norms)
@@ -133,8 +134,8 @@ def backprop_projection(net, cache, dproj, bundle):
     if cache.degenerate_rows is not None and cache.degenerate_rows.any():
         draw = draw.copy()
         draw[cache.degenerate_rows] = 0.0
-    dfeat = _backward_segment(net, cache, draw, net.classifier_end, len(net.layers), bundle)
-    _backward_segment(net, cache, dfeat, 0, net.extractor_end, bundle)
+    dfeat = _backward_segment(net, cache, draw, net.classifier_end, len(net.layers), grad)
+    _backward_segment(net, cache, dfeat, 0, net.extractor_end, grad)
 
 
 def sigmoid(x):
@@ -162,35 +163,35 @@ def energy_bce_term(logits, n_down, temperature):
     return value, d_e[:, None] * -nn.softmax(logits / temperature)
 
 
-def _head_only_energy(net, features, n_down, temperature, bundle):
+def _head_only_energy(net, features, n_down, temperature, grad):
     """Energy BCE on feature-space points (the first n_down pushed down, the
-    rest up), its head gradients added into bundle."""
+    rest up), its head gradients added into the vector grad."""
     cache = nn.ForwardCache([None] * len(net.layers), [None] * len(net.layers), np.empty(0))
     term, dlogits = nn.energy_bce_term(nn.head_forward(net, features, cache), n_down,
                                        temperature)
-    backprop_logits(net, cache, dlogits, bundle, into_extractor=False)
+    backprop_logits(net, cache, dlogits, grad, into_extractor=False)
     return term
 
 
 def energy_bce_loss_and_grads(net, clean_inputs, outlier_features, temperature):
-    bundle = nn.GradientBundle.zeros(net)
+    grad = np.zeros_like(net.params)
     value = 0.0
     if clean_inputs is not None:
         cache = nn.forward_batch(net, clean_inputs)
         term, dlogits = nn.energy_bce_term(cache.logits, len(cache.logits), temperature)
         value += term
-        backprop_logits(net, cache, dlogits, bundle)
+        backprop_logits(net, cache, dlogits, grad)
     if outlier_features is not None:
-        value += _head_only_energy(net, outlier_features, 0, temperature, bundle)
-    return value, bundle
+        value += _head_only_energy(net, outlier_features, 0, temperature, grad)
+    return value, grad
 
 
 def energy_bce_head_only(net, clean_features, outlier_features, temperature):
-    """(value, bundle) of the energy term on feature-space clean samples and outliers."""
-    bundle = nn.GradientBundle.zeros(net)
+    """(value, gradient vector) of the energy term on feature-space clean samples and outliers."""
+    grad = np.zeros_like(net.params)
     value = _head_only_energy(net, np.vstack([clean_features, outlier_features]),
-                              len(clean_features), temperature, bundle)
-    return value, bundle
+                              len(clean_features), temperature, grad)
+    return value, grad
 
 
 def _nonempty(a):
@@ -198,9 +199,9 @@ def _nonempty(a):
 
 
 def total_loss_and_grads(net, batch):
-    """(value, per-term dict, gradients) of the step, composed with scratch bundles."""
+    """(value, per-term dict, gradient vector) of the step, composed with scratch vectors."""
     terms = dict.fromkeys(nn.LOSS_TERMS, 0.0)
-    bundle = nn.GradientBundle.zeros(net)
+    grad = np.zeros_like(net.params)
     n_l = len(batch.labeled_inputs)
     unlabeled = _nonempty(batch.unlabeled_inputs)
     x_all = (batch.labeled_inputs if unlabeled is None
@@ -217,7 +218,7 @@ def total_loss_and_grads(net, batch):
     terms["prior"], d_prior = nn.prior_kl_term(probs)
     if batch.lambda_reg > 0.0:
         dlogits += batch.lambda_reg * d_prior
-    backprop_logits(net, cache, dlogits, bundle)
+    backprop_logits(net, cache, dlogits, grad)
 
     views = _nonempty(batch.contrast_views)
     if views is not None:
@@ -225,29 +226,29 @@ def total_loss_and_grads(net, batch):
         terms["contrastive"], dproj = ntxent_term(c_cache.projection,
                                                   batch.contrast_temperature)
         if batch.lambda_cl > 0.0:
-            scratch = nn.GradientBundle.zeros(net)
+            scratch = np.zeros_like(net.params)
             backprop_projection(net, c_cache, dproj, scratch)
-            add_scaled(bundle, scratch, batch.lambda_cl)
+            grad += batch.lambda_cl * scratch
 
     support, outliers = _nonempty(batch.support_inputs), _nonempty(batch.outlier_features)
     if support is not None or outliers is not None:
-        terms["energy"], e_bundle = energy_bce_loss_and_grads(net, support, outliers,
-                                                              batch.temperature)
+        terms["energy"], e_grad = energy_bce_loss_and_grads(net, support, outliers,
+                                                            batch.temperature)
         if batch.lambda_energy > 0.0:
-            add_scaled(bundle, e_bundle, batch.lambda_energy)
+            grad += batch.lambda_energy * e_grad
 
     value = (terms["labeled"] + batch.lambda_u * terms["unlabeled"]
              + batch.lambda_reg * terms["prior"] + batch.lambda_cl * terms["contrastive"]
              + batch.lambda_energy * terms["energy"])
-    return value, terms, bundle
+    return value, terms, grad
 
 
 def sgd_step(net, grads, lr, weight_decay=0.0, momentum=0.0, state=None):
-    """In-place momentum SGD, layer by layer and array by array; returns the velocities."""
+    """In-place momentum SGD, layer by layer and array by array; returns the velocity vector."""
     if state is None:
-        state = nn.GradientBundle.zeros(net)
-    for layer, dw, db, vw, vb in zip(net.layers, grads.d_weights, grads.d_bias,
-                                     state.d_weights, state.d_bias):
+        state = np.zeros_like(net.params)
+    (d_weights, d_bias), (v_weights, v_bias) = layer_views(net, grads), layer_views(net, state)
+    for layer, dw, db, vw, vb in zip(net.layers, d_weights, d_bias, v_weights, v_bias):
         gw = dw + weight_decay * layer.weights
         gb = db + weight_decay * layer.bias
         vw *= momentum

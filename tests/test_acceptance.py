@@ -50,7 +50,8 @@ def test_criterion_2_oracle_suite():
     # acceptance rate on the unit-square/disk construction
     cand = np.random.default_rng(1).uniform(0, 1, size=(100_000, 2))
     cents = geometry.CentroidSet(np.array([0]), np.array([[0.5, 0.5]]))
-    rate = geometry.filter_outliers(cand, cents, 0.3).acceptance_rate
+    batch = geometry.filter_outliers(cand, cents, 0.3)
+    rate = batch.n_accepted / batch.n_candidates
     disk_ok = abs(rate - (1.0 - np.pi * 0.09)) <= 0.01
 
     # AUROC vs the O(n^2) pairwise oracle

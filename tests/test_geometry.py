@@ -184,7 +184,7 @@ class TestFilter:
         cand = rng.uniform(0.0, 1.0, size=(100_000, 2))
         cents = geometry.CentroidSet(np.array([0]), np.array([[0.5, 0.5]]))
         batch = geometry.filter_outliers(cand, cents, 0.3)
-        assert abs(batch.acceptance_rate - (1.0 - np.pi * 0.09)) <= 0.01
+        assert abs(batch.n_accepted / batch.n_candidates - (1.0 - np.pi * 0.09)) <= 0.01
 
     def test_rejection_soundness_brute_force(self):
         rng = np.random.default_rng(12)

@@ -25,9 +25,9 @@ def test_gradient_fidelity(kind):
 def test_curved_configs_pass_the_extrapolated_reference(seed):
     # a plain central difference at FD_STEP errs here by 1.54e-4 and 1.01e-4 relative
     net, _, loss_fn = sample_config("contrastive", seed)
-    bundle = loss_fn()[1]
+    grad = loss_fn()[1]
     fd = finite_difference_grads(net, lambda: loss_fn()[0])
-    assert max_relative_error(bundle, fd) <= REL_TOL
+    assert max_relative_error(grad, fd) <= REL_TOL
 
 
 def test_energy_bce_head_only_gradients():
@@ -36,13 +36,14 @@ def test_energy_bce_head_only_gradients():
     net = nn.build_network(3, 3, hidden=(4,), projection_dim=2, rng=rng)
     clean = rng.normal(size=(4, net.feature_dim))
     outliers = rng.normal(size=(3, net.feature_dim))
-    _, bundle = loss_oracles.energy_bce_head_only(net, clean, outliers, 1.0)
+    _, grad = loss_oracles.energy_bce_head_only(net, clean, outliers, 1.0)
+    d_weights, d_bias = loss_oracles.layer_views(net, grad)
     for i in range(net.extractor_end):
-        assert np.allclose(bundle.d_weights[i], 0.0)
-        assert np.allclose(bundle.d_bias[i], 0.0)
+        assert np.allclose(d_weights[i], 0.0)
+        assert np.allclose(d_bias[i], 0.0)
     fd = finite_difference_grads(
         net, lambda: loss_oracles.energy_bce_head_only(net, clean, outliers, 1.0)[0])
-    assert max_relative_error(bundle, fd) <= REL_TOL
+    assert max_relative_error(grad, fd) <= REL_TOL
 
 
 def test_total_term_weights_zero_reduce_to_labeled_ce():
@@ -132,28 +133,28 @@ def _close(got: float, want: float) -> bool:
 def test_step_gradients_match_scratch_bundle_oracle(case):
     # the one-pass step reorders the per-term oracle's sums and nothing else:
     # values and terms within 1e-12 relative, every gradient entry within
-    # 1e-12 of the oracle bundle's largest entry
+    # 1e-12 of the oracle gradient's largest entry
     for seed in range(25):
         net, batch = _random_step(np.random.default_rng((seed, STEP_CASES.index(case))), case)
         if case == "zero-norm-projection":
             assert nn.forward_batch(net, batch.contrast_views, want_logits=False,
                                     want_projection=True).degenerate_rows[0]
-        value, terms, bundle = nn.total_loss_and_grads(net, batch)
-        o_value, o_terms, o_bundle = loss_oracles.total_loss_and_grads(net, batch)
+        value, terms, grad = nn.total_loss_and_grads(net, batch)
+        o_value, o_terms, o_grad = loss_oracles.total_loss_and_grads(net, batch)
         assert _close(value, o_value), f"seed {seed}"
         assert terms.keys() == o_terms.keys()
         assert all(_close(terms[t], o_terms[t]) for t in terms), f"seed {seed}"
-        scale = np.abs(o_bundle.flat).max()
-        assert np.abs(bundle.flat - o_bundle.flat).max() <= STEP_RTOL * scale, f"seed {seed}"
+        scale = np.abs(o_grad).max()
+        assert np.abs(grad - o_grad).max() <= STEP_RTOL * scale, f"seed {seed}"
 
 
 def test_one_step_runs_the_extractor_once(monkeypatch):
-    # one forward and one backprop from layer 0, into one bundle, however
-    # many parts the batch has
+    # one forward and one backprop from layer 0, into one gradient array,
+    # however many parts the batch has
     net, batch = _random_step(np.random.default_rng(5), "all-weights")
-    calls = {"forward": 0, "backward": 0, "bundles": 0}
-    run_segment, backward_segment, zeros = (nn._run_segment, nn._backward_segment,
-                                            nn.GradientBundle.zeros)
+    calls = {"forward": 0, "backward": 0, "gradients": 0}
+    run_segment, backward_segment, zeros_like = (nn._run_segment, nn._backward_segment,
+                                                 np.zeros_like)
 
     def counted_run(net, x, start, *args):
         calls["forward"] += start == 0
@@ -163,12 +164,12 @@ def test_one_step_runs_the_extractor_once(monkeypatch):
         calls["backward"] += start == 0
         return backward_segment(net, cache, dout, start, *args)
 
-    def counted_zeros(net):
-        calls["bundles"] += 1
-        return zeros(net)
+    def counted_zeros_like(a, *args, **kwargs):
+        calls["gradients"] += a is net.params
+        return zeros_like(a, *args, **kwargs)
 
     monkeypatch.setattr(nn, "_run_segment", counted_run)
     monkeypatch.setattr(nn, "_backward_segment", counted_backward)
-    monkeypatch.setattr(nn.GradientBundle, "zeros", staticmethod(counted_zeros))
+    monkeypatch.setattr(np, "zeros_like", counted_zeros_like)
     nn.total_loss_and_grads(net, batch)
-    assert calls == {"forward": 1, "backward": 1, "bundles": 1}
+    assert calls == {"forward": 1, "backward": 1, "gradients": 1}

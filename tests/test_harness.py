@@ -39,6 +39,13 @@ def widened(net):
     return nn.DenseNet([wider] + net.layers[1:], net.extractor_end, net.classifier_end)
 
 
+def resaved(path, change):
+    """Rewrite the model file at path with change(arrays)'s entries replacing its arrays'."""
+    with np.load(path) as blob:
+        arrays = dict(blob)
+    np.savez(path, **dict(arrays, **change(arrays)))
+
+
 def _child_env():
     """This environment with noisylab's sources first on PYTHONPATH, for a child
     interpreter (pytest's `pythonpath` setting reaches only the test process)."""
@@ -682,22 +689,43 @@ class TestCli:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_training_error_exit_code(self, tmp_path):
+    @staticmethod
+    def assert_training_error(config: dict, tmp_path) -> str:
+        """Train config in a fresh interpreter (pytest would collect numpy's warnings
+        from stderr); assert exit 3, one stderr line and a schema-valid incomplete
+        report, and return that line."""
         jsonschema = pytest.importorskip("jsonschema")
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n_train": 200, "n_test": 60, "ood_n": 40,
-                                   "warmup_epochs": 2, "total_epochs": 5, "lr": 1000}))
-        # a fresh interpreter, since pytest would collect numpy's warnings from stderr
+        cfg.write_text(json.dumps(config))
         proc = subprocess.run([sys.executable, "-m", "noisylab.cli", "train", "--config", str(cfg),
                                "--out-dir", str(tmp_path / "r")],
                               env=_child_env(), capture_output=True, text=True, timeout=300)
         err = proc.stderr
-        assert proc.returncode == 3
+        assert proc.returncode == 3, err
         assert err.count("\n") == 1, err  # no numpy warning before the message
         assert err.startswith("training error: ") and "(epoch " in err, err
         report = json.loads((tmp_path / "r" / "report.json").read_text())
         assert report["incomplete"] is True and report["summary"] == {}
         jsonschema.validate(report, REPORT_SCHEMA)
+        return err
+
+    def test_training_error_exit_code(self, tmp_path):
+        err = self.assert_training_error({"n_train": 200, "n_test": 60, "ood_n": 40,
+                                          "warmup_epochs": 2, "total_epochs": 5, "lr": 1000},
+                                         tmp_path)
+        assert ", batch " in err, err  # raised inside an SGD step
+
+    # huge but finite weights after one step: the next full-set pass overflows,
+    # which once printed numpy warnings and fed NaNs to EM
+    @pytest.mark.parametrize("config", [
+        {"n_train": 40, "n_test": 20, "ood_n": 10, "warmup_epochs": 1, "total_epochs": 3,
+         "lr": 1e300},
+        {"n_train": 40, "n_test": 20, "ood_n": 10, "warmup_epochs": 1, "total_epochs": 4,
+         "window": 1, "contrast_temperature": 1e-300},
+    ], ids=["huge-lr", "tiny-contrast-temperature"])
+    def test_training_error_outside_a_step_exit_code(self, tmp_path, config):
+        err = self.assert_training_error(config, tmp_path)
+        assert err.endswith(")\n") and ", batch " not in err, err
 
     def test_old_disable_cl_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -816,7 +844,16 @@ class TestCli:
         (lambda models: save_model(widened(load_model(models / "net1.npz")),
                                    models / "net2.npz"),
          f"net2.npz takes {INPUT_DIM + 1} inputs, config.json says input_dim {INPUT_DIM}"),
-    ], ids=["text-file", "no-activations", "mismatched-arrays", "net2-wider-input"])
+        (lambda models: resaved(models / "net1.npz",
+                                lambda a: {"splits": np.array([[1, 2], [2, 3]])}),
+         "net1.npz: not a saved noisylab model: splits is int64 of shape (2, 2)"),
+        (lambda models: resaved(models / "net1.npz",
+                                lambda a: {"activations": np.array("relu")}),
+         "net1.npz: not a saved noisylab model: activations has shape ()"),
+        (lambda models: resaved(models / "net1.npz", lambda a: {"w0": a["w0"] + 1j}),
+         "net1.npz: not a saved noisylab model: w0 holds complex128"),
+    ], ids=["text-file", "no-activations", "mismatched-arrays", "net2-wider-input",
+            "2d-splits", "0d-activations", "complex-weights"])
     def test_bad_model_file_exit_code(self, saved_run, tmp_path, capsys, corrupt, message):
         run_dir = tmp_path / "run"
         shutil.copytree(saved_run, run_dir)

@@ -350,10 +350,9 @@ class TestBackwardTrivial:
         targets = np.full((2, 4), 0.25)
         cache = nn.forward_batch(net, x)
         _, dlogits = nn.soft_ce_term(nn.softmax(cache.logits), targets)
-        bundle = nn.GradientBundle.zeros(net)
-        nn.backprop_logits(net, cache, dlogits, bundle)
-        assert all(np.allclose(g, 0.0) for g in bundle.d_weights)
-        assert all(np.allclose(g, 0.0) for g in bundle.d_bias)
+        grad = np.zeros_like(net.params)
+        nn.backprop_logits(net, cache, dlogits, grad)
+        assert np.allclose(grad, 0.0)
 
     def test_one_parameter_quadratic_surrogate(self):
         # single 1x1 identity layer, L = (w*x - t)^2 evaluated through the
@@ -367,23 +366,25 @@ class TestBackwardTrivial:
         net = nn.DenseNet(layers, 1, 2)
         cache = nn.forward_batch(net, np.array([[x]]))
         dlogits = 2.0 * (cache.logits - t)
-        bundle = nn.GradientBundle.zeros(net)
-        nn.backprop_logits(net, cache, dlogits, bundle)
-        assert np.isclose(bundle.d_weights[1][0, 0], 2.0 * (w * x - t) * x)
+        grad = np.zeros_like(net.params)
+        nn.backprop_logits(net, cache, dlogits, grad)
+        d_weights, _ = loss_oracles.layer_views(net, grad)
+        assert np.isclose(d_weights[1][0, 0], 2.0 * (w * x - t) * x)
 
 
 class TestSgd:
     def test_plain_step(self):
         net = identity_net()
-        g = nn.GradientBundle.zeros(net)
-        g.d_weights[0][0, 0] = 2.0
+        g = np.zeros_like(net.params)
+        d_weights, _ = loss_oracles.layer_views(net, g)
+        d_weights[0][0, 0] = 2.0
         nn.sgd_step(net, g, lr=0.1)
         assert np.isclose(net.layers[0].weights[0, 0], 1.0 - 0.2)
 
     def test_zero_gradient_leaves_parameters(self):
         net = identity_net()
         before = [l.weights.copy() for l in net.layers]
-        nn.sgd_step(net, nn.GradientBundle.zeros(net), lr=0.5)
+        nn.sgd_step(net, np.zeros_like(net.params), lr=0.5)
         assert all(np.array_equal(a, l.weights) for a, l in zip(before, net.layers))
 
     def test_momentum_matches_hand_recurrence(self):
@@ -393,8 +394,9 @@ class TestSgd:
         w0 = net.layers[0].weights[0, 0]
         state = None
         for gval in (g1, g2):
-            g = nn.GradientBundle.zeros(net)
-            g.d_weights[0][0, 0] = gval
+            g = np.zeros_like(net.params)
+            d_weights, _ = loss_oracles.layer_views(net, g)
+            d_weights[0][0, 0] = gval
             state = nn.sgd_step(net, g, lr=lr, momentum=mom, state=state)
         v1 = g1
         w1 = w0 - lr * v1
@@ -405,7 +407,7 @@ class TestSgd:
     def test_invalid_lr(self):
         net = identity_net()
         with pytest.raises(ParameterError):
-            nn.sgd_step(net, nn.GradientBundle.zeros(net), lr=0.0)
+            nn.sgd_step(net, np.zeros_like(net.params), lr=0.0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_vector_step_matches_per_layer_oracle(self, seed):
@@ -414,14 +416,14 @@ class TestSgd:
         oracle_net = copy.deepcopy(net)
         state = oracle_state = None
         for _ in range(20):
-            grads = nn.GradientBundle([rng.normal(size=l.weights.shape) for l in net.layers],
-                                      [rng.normal(size=l.bias.shape) for l in net.layers])
+            d_weights = [rng.normal(size=l.weights.shape) for l in net.layers]
+            d_bias = [rng.normal(size=l.bias.shape) for l in net.layers]
+            grads = np.concatenate([a.ravel() for pair in zip(d_weights, d_bias) for a in pair])
             state = nn.sgd_step(net, grads, 0.05, weight_decay=5e-4, momentum=0.9, state=state)
             oracle_state = loss_oracles.sgd_step(oracle_net, grads, 0.05, weight_decay=5e-4,
                                                  momentum=0.9, state=oracle_state)
-        for got, want in zip(layer_arrays(net) + state.d_weights + state.d_bias,
-                             layer_arrays(oracle_net) + oracle_state.d_weights
-                             + oracle_state.d_bias):
+        for got, want in zip(layer_arrays(net) + [state],
+                             layer_arrays(oracle_net) + [oracle_state]):
             assert same_bits(got, want)
 
 
@@ -446,10 +448,6 @@ def random_net(rng):
 
 def layer_arrays(net):
     return [a for l in net.layers for a in (l.weights, l.bias)]
-
-
-def bundle_arrays(bundle):
-    return [a for pair in zip(bundle.d_weights, bundle.d_bias) for a in pair]
 
 
 class TestParameterVector:
@@ -477,35 +475,20 @@ class TestParameterVector:
         assert [a for l in layers for a in (l.weights, l.bias)] == given_arrays
         assert not any(np.shares_memory(a, net.params) for a in given_arrays)
 
-    def test_a_bundle_packs_its_lists(self):
+    def test_a_gradient_is_a_fresh_vector_laid_out_as_params(self):
         rng = np.random.default_rng(1)
-        net = random_net(rng)
-        d_weights = [rng.normal(size=l.weights.shape) for l in net.layers]
-        d_bias = [rng.normal(size=l.bias.shape) for l in net.layers]
-        bundle = nn.GradientBundle(d_weights, d_bias)
-        copied = copy.deepcopy(bundle)
-        for b in (bundle, copied):
-            self.assert_views_of(bundle_arrays(b), b.flat)
-            assert all(np.array_equal(a, g) for a, g in zip(b.d_weights + b.d_bias,
-                                                            d_weights + d_bias))
-        assert not any(np.shares_memory(bundle.flat, a) for a in d_weights + d_bias)
-        assert not np.shares_memory(copied.flat, bundle.flat)
-        zeros = nn.GradientBundle.zeros(net)
-        self.assert_views_of(bundle_arrays(zeros), zeros.flat)
-        assert zeros.flat.shape == net.params.shape and not zeros.flat.any()
-
-    def test_mismatched_bias_is_rejected(self):
-        with pytest.raises(ShapeError):
-            nn.GradientBundle([np.zeros((2, 3))], [np.zeros(3)])
-
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_one_nonfinite_entry_in_any_view_is_seen(self, bad):
-        net = nn.build_network(3, 2, hidden=(4, 1), projection_dim=2,
-                               rng=np.random.default_rng(2))
-        bundle = nn.GradientBundle.zeros(net)
-        assert bundle.is_finite()
-        for view in bundle.d_weights + bundle.d_bias:
-            view.flat[-1] = bad
-            assert not bundle.is_finite()
-            view.flat[-1] = 0.0
-        assert bundle.is_finite()
+        net = nn.build_network(3, 2, hidden=(4, 1), projection_dim=2, rng=rng)
+        x = rng.normal(size=(6, 3))
+        batch = nn.TotalLossBatch(labeled_inputs=x, labeled_targets=np.full((6, 2), 0.5),
+                                  unlabeled_inputs=x[:2], unlabeled_targets=np.full((2, 2), 0.5),
+                                  contrast_views=rng.normal(size=(4, 3)), support_inputs=x[:3],
+                                  outlier_features=rng.normal(size=(2, 1)), lambda_u=1.0,
+                                  lambda_reg=1.0, lambda_cl=1.0, lambda_energy=0.1)
+        y = np.array([0, 1, 0, 1, 1, 0])
+        for loss_and_grad in (lambda: nn.gce_loss_and_grads(net, x, y)[1],
+                              lambda: nn.total_loss_and_grads(net, batch)[2]):
+            grad, again = loss_and_grad(), loss_and_grad()
+            assert type(grad) is np.ndarray and grad.dtype == np.float64
+            assert grad.flags.c_contiguous and grad.shape == net.params.shape
+            assert grad.any() and np.array_equal(grad, again)
+            assert not np.shares_memory(grad, net.params) and not np.shares_memory(grad, again)

@@ -1,20 +1,19 @@
 """No code in `src/noisylab` that only tests call.
 
-Every function, class and method the package defines must be named, as a
-whole word, somewhere in the package, `benchmarks/` or `perfbench/` apart
-from its own `def` or `class` line. Dunder methods are exempt: Python
-calls them.
+Every function, class and method the package defines must be named as an
+identifier (a name, an attribute, or an imported name) somewhere in the
+package, `benchmarks/` or `perfbench/`. A word inside a string or a
+comment is not a use, and a `def` or `class` statement does not name
+itself. Dunder methods are exempt: Python calls them.
 """
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "noisylab"
 USERS = (PACKAGE, ROOT / "benchmarks", ROOT / "perfbench")
-WORD = re.compile(r"\w+")
 
 
 def _definitions():
@@ -26,12 +25,21 @@ def _definitions():
                 yield path, node.lineno, node.name
 
 
+def _identifiers(tree):
+    """Every identifier a module's code names: `x`, the `y` of `x.y`, and each
+    part of an imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+
+
 def test_every_definition_is_used_outside_tests():
-    lines = {path: path.read_text().splitlines()
-             for folder in USERS for path in sorted(folder.glob("*.py"))}
-    words = Counter(word for text in lines.values() for line in text
-                    for word in WORD.findall(line))
+    uses = Counter(name for folder in USERS for path in sorted(folder.glob("*.py"))
+                   for name in _identifiers(ast.parse(path.read_text(), str(path))))
     unused = [f"{path.relative_to(ROOT)}:{lineno} {name}"
-              for path, lineno, name in _definitions()
-              if words[name] == WORD.findall(lines[path][lineno - 1]).count(name)]
+              for path, lineno, name in _definitions() if not uses[name]]
     assert not unused, f"defined in src but named only by tests: {unused}"
