@@ -10,7 +10,7 @@ class ShapeError(NoisylabError, ValueError):
 
 
 class ParameterError(NoisylabError, ValueError):
-    """A hyperparameter is outside its valid range."""
+    """A value is outside the range an operation accepts."""
 
 
 class ConfigError(NoisylabError, ValueError):

@@ -117,12 +117,9 @@ def sample_candidates(envelope: Envelope, centroids: CentroidSet, features: np.n
                       rng: np.random.Generator) -> np.ndarray:
     """Draw outlier candidates inside the envelope by the given strategy.
 
-    Every strategy but uniform fills one preallocated array in place.
+    Every strategy but uniform fills one preallocated array in place. The
+    strategy is one of SAMPLERS and n_candidates >= 1 (`RunConfig` checks both).
     """
-    if n_candidates < 1:
-        raise ParameterError("n_candidates must be >= 1")
-    if strategy not in SAMPLERS:
-        raise ParameterError(f"unknown sampler {strategy!r}; choose from {SAMPLERS}")
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if strategy == "uniform":
         return _sample_uniform(envelope, n_candidates, rng)

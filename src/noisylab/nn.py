@@ -119,10 +119,6 @@ class DenseNet:
     def feature_dim(self) -> int:
         return self.layers[self.extractor_end - 1].out_dim
 
-    @property
-    def n_classes(self) -> int:
-        return self.layers[self.classifier_end - 1].out_dim
-
 
 def build_network(input_dim: int, n_classes: int, hidden=(64, 64), projection_dim: int = 32,
                   rng: np.random.Generator | None = None) -> DenseNet:
@@ -217,15 +213,12 @@ def _as_rows(x) -> np.ndarray:
     return x if x.ndim == 2 else np.atleast_2d(x)
 
 
-def forward_batch(net: DenseNet, x: np.ndarray, *, want_logits: bool = True,
-                  want_projection: bool = False) -> ForwardCache:
+def forward_batch(net: DenseNet, x: np.ndarray, *, want_logits: bool = True) -> ForwardCache:
     x = _as_rows(x)
     cache = _empty_cache(net)
     cache.features = _run_segment(net, x, 0, net.extractor_end, cache)
     if want_logits:
         cache.logits = _run_segment(net, cache.features, net.extractor_end, net.classifier_end, cache)
-    if want_projection:
-        _project(net, cache.features, cache)
     return cache
 
 
@@ -322,8 +315,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def gce_losses(probs: np.ndarray, y: np.ndarray, q: float = 0.7) -> np.ndarray:
     """Per-sample generalized cross entropy (1 - p_y^q) / q."""
-    if q <= 0 or q > 1:
-        raise ParameterError(f"q must be in (0, 1], got {q}")
     p = probs[np.arange(len(y)), y]
     return (1.0 - p ** q) / q
 
@@ -342,8 +333,6 @@ def _energy_parts(logits: np.ndarray, temperature: float):
     The exponentials divided by their row sums are softmax(logits / T), bit
     for bit, so the energy and its gradient share one exp.
     """
-    if temperature <= 0:
-        raise ParameterError(f"temperature must be positive, got {temperature}")
     shifted = np.asarray(logits, dtype=np.float64) / temperature
     m = _row_max(shifted)
     shifted -= m
@@ -473,8 +462,6 @@ def ntxent_term(z: np.ndarray, temperature: float):
     Each anchor's positive is its pair partner; the denominator runs over
     every other row. A single pair yields exactly zero.
     """
-    if temperature <= 0:
-        raise ParameterError("contrastive temperature must be positive")
     m = len(z)
     if m % 2 != 0 or m < 2:
         raise ShapeError("contrastive batch must hold adjacent view pairs")
@@ -622,8 +609,6 @@ def sgd_step(net: DenseNet, grad: np.ndarray, lr: float, weight_decay: float = 0
              momentum: float = 0.0, state: np.ndarray | None = None) -> np.ndarray:
     """In-place momentum SGD update of net.params by the vector grad; returns
     the (possibly fresh) velocity vector, updated in place when given."""
-    if lr <= 0:
-        raise ParameterError(f"learning rate must be positive, got {lr}")
     if state is None:
         state = np.zeros_like(net.params)
     # each parameter sees the operations of a per-layer update, in its order

@@ -128,8 +128,6 @@ class SelectionState:
     """Per-sample count of consecutive epochs on the clean side."""
 
     def __init__(self, n_samples: int, window: int):
-        if window < 1:
-            raise ParameterError("window length must be >= 1")
         self.window = window
         self.n_samples = n_samples
         self.streak = np.zeros(n_samples, dtype=np.int64)
@@ -145,8 +143,6 @@ def partition_epoch(state: SelectionState, losses: np.ndarray, gmm: Gmm1d,
     Returns (labeled mask, clean probabilities). The threshold is
     boundary-inclusive: w == tau_clean lands on the labeled side.
     """
-    if not (0.0 < tau_clean < 1.0):
-        raise ParameterError(f"tau_clean must lie in (0, 1), got {tau_clean}")
     losses = np.asarray(losses, dtype=np.float64)
     if len(losses) != state.n_samples:
         raise ParameterError("loss vector length does not match the state")

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ShapeError
 
 
 def onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -18,8 +18,6 @@ def onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 def sharpen(probs: np.ndarray, temperature: float) -> np.ndarray:
     """p ** (1/T) renormalized; T < 1 reduces entropy, T = 1 is the identity."""
-    if temperature <= 0:
-        raise ParameterError("sharpening temperature must be positive")
     p = np.atleast_2d(probs) ** (1.0 / temperature)
     return p / (p @ np.ones(p.shape[1]))[:, None]  # row sums as one GEMV
 
@@ -67,8 +65,6 @@ def apply_mixup(inputs_a, targets_a, inputs_b, targets_b, lam: float):
 def mixup(inputs_a, targets_a, inputs_b, targets_b, alpha: float,
           rng: np.random.Generator):
     """Draw lam ~ Beta(alpha, alpha), fold to max(lam, 1-lam), and mix."""
-    if alpha <= 0:
-        raise ParameterError("mixup alpha must be positive")
     lam = float(rng.beta(alpha, alpha))
     lam = max(lam, 1.0 - lam)
     mixed_x, mixed_t = apply_mixup(inputs_a, targets_a, inputs_b, targets_b, lam)

@@ -1,4 +1,5 @@
 import os
+import time
 
 # one BLAS thread, as perfbench and bench.py use: set before anything loads numpy,
 # since OpenBLAS reads it only then. A second thread costs a core and slows a run.
@@ -7,6 +8,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 
 import pytest  # noqa: E402
 
+from gradcheck import run_suite  # noqa: E402
 from noisylab import RunConfig, run_experiment  # noqa: E402
 from noisylab.harness import sweep_variants  # noqa: E402
 
@@ -33,3 +35,20 @@ class RunCache:
 @pytest.fixture(scope="session")
 def run_cache():
     return RunCache()
+
+
+@pytest.fixture(scope="session")
+def gradient_suite():
+    """A loss kind's (worst relative finite-difference error over 100 configs from
+    seed 1000, seconds that took): `gradcheck.run_suite`, run once per kind and
+    session however many tests ask."""
+    results = {}
+
+    def result(kind: str) -> tuple[float, float]:
+        if kind not in results:
+            start = time.perf_counter()
+            worst = run_suite(kind, n_configs=100, seed_base=1000)
+            results[kind] = (worst, time.perf_counter() - start)
+        return results[kind]
+
+    return result

@@ -64,12 +64,20 @@ def random_small_net(rng, with_projection=True):
     return nn.build_network(in_dim, k, hidden=hidden, projection_dim=proj, rng=rng)
 
 
+def forward_with_projection(net, x, *, want_logits=True):
+    """`nn.forward_batch`, then the projector on its features: the cache also
+    holds the raw and unit projections and their norms."""
+    cache = nn.forward_batch(net, x, want_logits=want_logits)
+    nn._project(net, cache.features, cache)
+    return cache
+
+
 def _preacts_clear_of_kinks(net, xs):
     """True when every ReLU pre-activation sits away from zero for all inputs."""
     for x in xs:
         if x is None or len(x) == 0:
             continue
-        cache = nn.forward_batch(net, x, want_logits=True, want_projection=True)
+        cache = forward_with_projection(net, x)
         for i, layer in enumerate(net.layers):
             if layer.activation == "relu" and cache.preacts[i] is not None:
                 if np.abs(cache.preacts[i]).min() < KINK_MARGIN:
@@ -109,7 +117,7 @@ def logit_term_loss(net, x, term):
 
 def projection_term_loss(net, views, term):
     """(value, gradient vector) of a term on the unit projections of views."""
-    cache = nn.forward_batch(net, views, want_logits=False, want_projection=True)
+    cache = forward_with_projection(net, views, want_logits=False)
     value, dproj = term(cache.projection)
     grad = np.zeros_like(net.params)
     dfeat = nn._backward_projection(net, cache, dproj, grad)  # the training step's path
@@ -129,7 +137,7 @@ def sample_config(kind, seed, q=0.7, temperature=1.0, contrast_temperature=0.5):
         net = random_small_net(rng)
         n = int(rng.integers(2, 6))
         x = rng.normal(size=(n, net.input_dim))
-        k = net.n_classes
+        k = net.layers[net.classifier_end - 1].out_dim
         if kind == "gce":
             y = rng.integers(0, k, size=n)
             if not (_preacts_clear_of_kinks(net, [x]) and _probs_well_conditioned(net, x, y=y)):

@@ -15,6 +15,7 @@ out as `net.params`; `layer_views` gives their per-layer arrays.
 
 import numpy as np
 
+import gradcheck
 from noisylab import nn
 from noisylab.errors import ParameterError, ShapeError
 from noisylab.nn import CE_EPS
@@ -222,7 +223,7 @@ def total_loss_and_grads(net, batch):
 
     views = _nonempty(batch.contrast_views)
     if views is not None:
-        c_cache = nn.forward_batch(net, views, want_logits=False, want_projection=True)
+        c_cache = gradcheck.forward_with_projection(net, views, want_logits=False)
         terms["contrastive"], dproj = ntxent_term(c_cache.projection,
                                                   batch.contrast_temperature)
         if batch.lambda_cl > 0.0:

@@ -1,4 +1,5 @@
-"""benchmarks/bench.py's loader: every source tree is its own package in one interpreter."""
+"""The benchmark tools: bench.py's loader, every source tree its own package in one
+interpreter, and reach.py's statement lister."""
 
 import importlib.util
 import os
@@ -67,3 +68,37 @@ def test_a_directory_without_the_package_is_one_line(bench, clean_process, tmp_p
     message = str(exc.value.code)
     assert "empty" in message and str(tmp_path) in message and "\n" not in message
     assert "noisylab@empty" not in sys.modules
+
+
+THREE_FUNCTIONS = '''\
+def used(x):
+    """Calls helper when x is true."""
+    if x:
+        return helper(x)
+    return 0
+
+
+def helper(x):
+    global SEEN
+    return x + 1
+
+
+def unused():
+    return 2
+'''
+
+
+def test_reach_lists_the_statements_that_did_not_run(tmp_path):
+    spec = importlib.util.spec_from_file_location("reach_tool", ROOT / "benchmarks" / "reach.py")
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    path = tmp_path / "three.py"
+    path.write_text(THREE_FUNCTIONS)
+    spec = importlib.util.spec_from_file_location("three", path)
+    three = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(three)
+    with reach.tracing(str(tmp_path)) as ran:
+        assert three.used(1) == 2
+    # neither the docstring nor `global` runs code, so neither is a statement here
+    assert sorted(reach.statements(path)) == [3, 4, 5, 10, 14]
+    assert reach.unreached(path, ran[str(path)]) == [5, 14]

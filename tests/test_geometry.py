@@ -8,7 +8,7 @@ import pytest
 import geometry_oracle
 import loss_oracles
 from noisylab import geometry, nn
-from noisylab.errors import EmptySupportError, ParameterError
+from noisylab.errors import EmptySupportError
 from gradcheck import REL_TOL, finite_difference_grads, max_relative_error
 
 
@@ -157,12 +157,6 @@ class TestSamplers:
     def test_perturbation_peak_memory_near_its_output(self):
         # a drawn noise array and the gathered support rows peaked at 2.13 times the output
         assert self._peak_over_output("perturbation") < 1.5
-
-    def test_unknown_strategy_rejected(self):
-        env, cents, feats, labels, _ = self._setup()
-        with pytest.raises(ParameterError):
-            geometry.sample_candidates(env, cents, feats, labels, 10, "metropolis",
-                                       np.random.default_rng(0))
 
 
 class TestFilter:

@@ -9,15 +9,15 @@ import pytest
 
 import loss_oracles
 from noisylab import nn
-from gradcheck import (REL_TOL, finite_difference_grads, logit_term_loss, max_relative_error,
-                       run_suite, sample_config)
+from gradcheck import (REL_TOL, finite_difference_grads, forward_with_projection,
+                       logit_term_loss, max_relative_error, sample_config)
 
 ALL_KINDS = ["ce", "gce", "mse", "prior_kl", "contrastive", "energy_bce", "total"]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_gradient_fidelity(kind):
-    worst = run_suite(kind, n_configs=100, seed_base=1000)
+def test_gradient_fidelity(kind, gradient_suite):
+    worst, _ = gradient_suite(kind)
     assert worst <= REL_TOL, f"{kind}: worst relative error {worst:.3e}"
 
 
@@ -137,8 +137,8 @@ def test_step_gradients_match_scratch_bundle_oracle(case):
     for seed in range(25):
         net, batch = _random_step(np.random.default_rng((seed, STEP_CASES.index(case))), case)
         if case == "zero-norm-projection":
-            assert nn.forward_batch(net, batch.contrast_views, want_logits=False,
-                                    want_projection=True).degenerate_rows[0]
+            assert forward_with_projection(net, batch.contrast_views,
+                                           want_logits=False).degenerate_rows[0]
         value, terms, grad = nn.total_loss_and_grads(net, batch)
         o_value, o_terms, o_grad = loss_oracles.total_loss_and_grads(net, batch)
         assert _close(value, o_value), f"seed {seed}"

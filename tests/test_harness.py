@@ -83,7 +83,11 @@ class TestConfig:
                            ("lr", float("nan")), ("n_train", float("inf")),
                            ("n_train", float("nan")), ("weak_jitter", 10 ** 400),
                            ("n_test", 3), ("n_train", 2 ** 63), ("seed", 1e19),
-                           ("generator", "spirals"), ("n_train", 3), ("noise_rate", 1.0)]:
+                           ("generator", "spirals"), ("n_train", 3), ("noise_rate", 1.0),
+                           ("gce_q", 0.0), ("gce_q", -1.0), ("energy_temperature", 0.0),
+                           ("contrast_temperature", 0.0), ("mixup_alpha", 0.0),
+                           ("n_cand_factor", 0), ("n_cand_cap", 0), ("lr", 0.0),
+                           ("tau_clean", 1.0), ("sampler", "metropolis")]:
             base = {"warmup_epochs": 5} if key == "total_epochs" else {}
             with pytest.raises(ConfigError):
                 RunConfig.from_dict({key: value, **base})

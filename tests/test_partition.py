@@ -201,11 +201,6 @@ class TestPartitionEpoch:
             assert set(labeled) & set(unlabeled) == set()
             assert len(labeled) + len(unlabeled) == 50
 
-    def test_invalid_threshold(self):
-        state, gmm = self._state_and_gmm()
-        with pytest.raises(ParameterError):
-            partition.partition_epoch(state, np.zeros(10), gmm, 1.0)
-
 
 class TestSupportSet:
     def _push(self, state, cols):
