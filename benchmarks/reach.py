@@ -7,9 +7,10 @@ every generator, noise mode, sampler, ablation switch and dump; `gen-data`;
 `ood-eval` with and without `--id-csv` (that file long enough to be scored
 in row blocks) and with `--out`; `ablate` on every grid; and a fixed list
 of bad inputs, one per documented error class, each of which must end in
-its exit code. Then prints `file:line` of every statement in a function
-body of src/noisylab that no route ran, and their count. Standard library
-only; it takes a few seconds.
+its exit code. Then prints `file:line function` of every statement in a
+function body of src/noisylab that no route ran, and their count.
+`tests/test_bench_tool.py` pins these counts per file and function.
+Standard library only; it takes a few seconds.
 """
 
 from __future__ import annotations
@@ -57,6 +58,25 @@ def statements(path) -> dict[int, range]:
             body = getattr(node, "body", None)
             end = max(node.lineno, body[0].lineno - 1) if body else node.end_lineno
             found[node.lineno] = range(start, end + 1)
+    return found
+
+
+def owners(path) -> dict[int, str]:
+    """{first line: the qualified name (`f`, `Class.method`, `outer.inner`) of the
+    innermost function holding it} of each statement in a function body of path."""
+    found = {}
+
+    def visit(node, owner, prefix):
+        for child in ast.iter_child_nodes(node):
+            if owner is not None and isinstance(child, ast.stmt):
+                found.setdefault(child.lineno, owner)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                visit(child, owner if isinstance(child, ast.ClassDef) else name, name + ".")
+            else:
+                visit(child, owner, prefix)
+
+    visit(ast.parse(Path(path).read_text()), None, "")
     return found
 
 
@@ -207,7 +227,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp, tracing(str(PACKAGE)) as ran:
         routes(cli.main, Path(tmp))
     sources = sorted(PACKAGE.glob("*.py"))
-    missed = [f"{p.relative_to(ROOT)}:{line}" for p in sources
+    missed = [f"{p.relative_to(ROOT)}:{line} {owners(p)[line]}" for p in sources
               for line in unreached(p, ran.get(str(p), set()))]
     print("\n".join(missed + [f"{len(missed)} of {sum(len(statements(p)) for p in sources)} "
                               "function-body statements run by no route"]))

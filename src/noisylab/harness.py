@@ -199,6 +199,44 @@ def evaluate_ood(nets, id_inputs, ood_inputs, temperature: float = 1.0) -> dict:
 # ---------------------------------------------------------------------------
 # run report
 
+_NUMBER_OR_NULL = {"type": ["number", "null"]}
+
+#: one row per key of an epoch record, which carries every key (null when not
+#: measured): its name; its JSON schema, required if that admits no null; how a
+#: main epoch merges the nets' values into it ("record": set once for the epoch,
+#: "mean" or "sum": the mean or integer sum of the nets' values, None if no net
+#: has one); and the schema version that added it
+_EPOCH_TABLE = (
+    ("epoch", {"type": "integer"}, "record", 1),
+    ("phase", {"enum": ["warmup", "main"]}, "record", 1),
+    ("loss_total", {"type": "number"}, "mean", 1),
+    *((f"loss_{t}", _NUMBER_OR_NULL, "mean", 1) for t in nn.LOSS_TERMS),
+    ("n_labeled", _NUMBER_OR_NULL, "mean", 1),
+    ("n_support", _NUMBER_OR_NULL, "mean", 1),
+    ("support_fallback", {"type": ["boolean", "null"]}, "record", 1),
+    ("selection_precision", _NUMBER_OR_NULL, "mean", 1),
+    ("selection_recall", _NUMBER_OR_NULL, "mean", 1),
+    ("selection_f1", _NUMBER_OR_NULL, "mean", 1),
+    ("envelope_log_volume", _NUMBER_OR_NULL, "mean", 1),
+    ("n_candidates", _NUMBER_OR_NULL, "mean", 1),
+    ("n_outliers", _NUMBER_OR_NULL, "mean", 1),
+    ("tau_rej_effective", _NUMBER_OR_NULL, "mean", 1),
+    ("mean_energy_clean", _NUMBER_OR_NULL, "mean", 1),
+    ("mean_energy_outlier", _NUMBER_OR_NULL, "mean", 1),
+    ("gmm_iterations", {"type": ["integer", "null"]}, "sum", 2),  # counts, kept integers
+    ("gmm_capped", {"type": ["integer", "null"]}, "sum", 2),
+    ("test_accuracy", {"type": "number"}, "record", 1),
+    ("first_batch_terms", {"type": ["object", "null"], "additionalProperties": False,
+                           "properties": {t: {"type": "number"} for t in nn.LOSS_TERMS}},
+     "record", 1),
+)
+_EPOCH_KEYS = tuple(name for name, *_ in _EPOCH_TABLE)
+_RECORD_KEYS, _MEAN_KEYS, _SUM_KEYS = (
+    tuple(name for name, _, rule, _ in _EPOCH_TABLE if rule == wanted)
+    for wanted in ("record", "mean", "sum"))
+#: the epoch keys whose last main value the summary reports as `final_<key>`
+_SELECTION_KEYS = tuple(k for k in _EPOCH_KEYS if k.startswith("selection_"))
+
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
@@ -213,43 +251,9 @@ REPORT_SCHEMA = {
             "items": {
                 "type": "object",
                 "additionalProperties": False,
-                "required": ["epoch", "phase", "loss_total", "test_accuracy"],
-                "properties": {
-                    "epoch": {"type": "integer"},
-                    "phase": {"enum": ["warmup", "main"]},
-                    "loss_total": {"type": "number"},
-                    "loss_labeled": {"type": ["number", "null"]},
-                    "loss_unlabeled": {"type": ["number", "null"]},
-                    "loss_prior": {"type": ["number", "null"]},
-                    "loss_contrastive": {"type": ["number", "null"]},
-                    "loss_energy": {"type": ["number", "null"]},
-                    "n_labeled": {"type": ["number", "null"]},
-                    "n_support": {"type": ["number", "null"]},
-                    "support_fallback": {"type": ["boolean", "null"]},
-                    "selection_precision": {"type": ["number", "null"]},
-                    "selection_recall": {"type": ["number", "null"]},
-                    "selection_f1": {"type": ["number", "null"]},
-                    "envelope_log_volume": {"type": ["number", "null"]},
-                    "n_candidates": {"type": ["number", "null"]},
-                    "n_outliers": {"type": ["number", "null"]},
-                    "tau_rej_effective": {"type": ["number", "null"]},
-                    "mean_energy_clean": {"type": ["number", "null"]},
-                    "mean_energy_outlier": {"type": ["number", "null"]},
-                    "gmm_iterations": {"type": ["integer", "null"]},
-                    "gmm_capped": {"type": ["integer", "null"]},
-                    "test_accuracy": {"type": "number"},
-                    "first_batch_terms": {
-                        "type": ["object", "null"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "labeled": {"type": "number"},
-                            "unlabeled": {"type": "number"},
-                            "prior": {"type": "number"},
-                            "contrastive": {"type": "number"},
-                            "energy": {"type": "number"},
-                        },
-                    },
-                },
+                "required": [name for name, schema, *_ in _EPOCH_TABLE
+                             if "null" not in np.ravel(schema.get("type", "enum"))],
+                "properties": {name: schema for name, schema, *_ in _EPOCH_TABLE},
             },
         },
         "summary": {
@@ -258,11 +262,9 @@ REPORT_SCHEMA = {
             "properties": {
                 "best_test_accuracy": {"type": "number"},
                 "final_test_accuracy": {"type": "number"},
-                "final_selection_precision": {"type": ["number", "null"]},
-                "final_selection_recall": {"type": ["number", "null"]},
-                "final_selection_f1": {"type": ["number", "null"]},
-                "peak_envelope_log_volume": {"type": ["number", "null"]},
-                "final_envelope_log_volume": {"type": ["number", "null"]},
+                **{f"final_{key}": _NUMBER_OR_NULL for key in _SELECTION_KEYS},
+                "peak_envelope_log_volume": _NUMBER_OR_NULL,
+                "final_envelope_log_volume": _NUMBER_OR_NULL,
                 "ood": {
                     "type": "object",
                     "additionalProperties": False,
@@ -280,23 +282,12 @@ REPORT_SCHEMA = {
         "required": ["best_test_accuracy", "final_test_accuracy", "ood"]}}},
 }
 
-#: every per-epoch record carries all of these keys, null when not measured
-_EPOCH_KEYS = tuple(REPORT_SCHEMA["properties"]["epochs"]["items"]["properties"])
-
-
-#: the keys of a record that are neither a mean nor a sum of the nets' values
-_RECORD_KEYS = ("epoch", "phase", "test_accuracy", "support_fallback", "first_batch_terms")
-#: the keys of a main epoch's record that are a sum over the nets: counts, kept integers
-_SUM_KEYS = ("gmm_iterations", "gmm_capped")
-#: the keys of a main epoch's record that are a mean over the nets
-_MEAN_KEYS = tuple(k for k in _EPOCH_KEYS if k not in _RECORD_KEYS + _SUM_KEYS)
-
 
 def mean_of_net_rows(rows: list[dict]) -> dict:
     """A main epoch's record values from the nets' rows, in net order.
 
-    Each value is the mean of the nets' values that are present and not None,
-    or for the EM counts (`_SUM_KEYS`) their integer sum (None if no net has
+    A `mean` key of `_EPOCH_TABLE` is the mean of the nets' values that are
+    present and not None, a `sum` key their integer sum (None if no net has
     one); `support_fallback` is True if any net fell back, and
     `first_batch_terms` is net 0's (None if net 0 ran no step).
     """
@@ -677,9 +668,7 @@ class Experiment:
         summary = {
             "best_test_accuracy": max(r["test_accuracy"] for r in records) if records else 0.0,
             "final_test_accuracy": records[-1]["test_accuracy"] if records else 0.0,
-            "final_selection_precision": main[-1]["selection_precision"] if main else None,
-            "final_selection_recall": main[-1]["selection_recall"] if main else None,
-            "final_selection_f1": main[-1]["selection_f1"] if main else None,
+            **{f"final_{key}": main[-1][key] if main else None for key in _SELECTION_KEYS},
             "peak_envelope_log_volume": max(vols) if vols else None,
             "final_envelope_log_volume": vols[-1] if vols else None,
             "ood": {regime: ood_metrics(id_scores, ood_scores(self.nets, inputs, temperature))

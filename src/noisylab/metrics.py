@@ -91,28 +91,16 @@ def auroc(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def fpr_at_95_tpr(id_scores: np.ndarray, ood_scores: np.ndarray,
-                  tpr_target: float = 0.95) -> float:
-    """False-positive rate at the first threshold reaching the TPR target.
+def fpr_at_95_tpr(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
+    """False-positive rate at the first threshold reaching 95% TPR.
 
     Thresholds step through the observed scores from high to low with the
     rule "positive iff score >= threshold" (ID positive); the highest
-    threshold whose TPR reaches the target is used. That is the k-th
-    largest ID score, k the least count with k / n >= tpr_target, found
-    by one partition; with k = 0 it is the highest observed score.
+    threshold whose TPR reaches 0.95 is used. That is the k-th largest ID
+    score, k the least count with k / n >= 0.95, found by one partition.
     """
     id_scores, ood_scores = _score_pair(id_scores, ood_scores)
-    if not tpr_target <= 1.0:
-        return 1.0  # no threshold reaches it: classify all positive
     n = len(id_scores)
-    k = int(np.ceil(max(tpr_target, 0.0) * n))
-    # the product may round across an integer: settle k on the test k / n >= target
-    while k > 0 and (k - 1) / n >= tpr_target:
-        k -= 1
-    while not k / n >= tpr_target:
-        k += 1
-    if k == 0:
-        threshold = max(id_scores.max(), ood_scores.max())
-    else:
-        threshold = np.partition(id_scores, n - k)[n - k]
+    k = -(-19 * n // 20)  # ceil(19 n / 20) in integers, at least 1
+    threshold = np.partition(id_scores, n - k)[n - k]
     return float((ood_scores >= threshold).mean())

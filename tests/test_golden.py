@@ -28,6 +28,7 @@ import pytest
 import noisylab
 from noisylab import RunConfig, run_experiment
 from noisylab.cli import main as cli_main
+from noisylab.harness import _EPOCH_TABLE
 
 SMALL = dict(n_train=300, n_test=100, ood_n=60, warmup_epochs=2, total_epochs=8)
 
@@ -112,13 +113,16 @@ def test_full_size_report_digest(run_cache, name):
 
 
 def _as_schema_1(report) -> bytes:
-    """report's bytes as schema 1 wrote them: epochs without the EM counts, and
+    """report's bytes as schema 1 wrote them: epochs without the keys a later
+    version added (by the epoch table's version column: the EM counts), and
     `disable_cl`, which was always false, in the config echo."""
     doc = json.loads(report.canonical_json())
     doc["schema_version"] = 1
     doc["config"]["disable_cl"] = False
     for epoch in doc["epochs"]:
-        del epoch["gmm_iterations"], epoch["gmm_capped"]
+        for name, *_, version in _EPOCH_TABLE:
+            if version > 1:
+                del epoch[name]
     return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
 
 

@@ -301,6 +301,12 @@ class TestEpochRecordRule:
         assert single["envelope_log_volume"] is None
         assert (single["gmm_iterations"], single["gmm_capped"]) == (37, 0)
 
+    def test_schema_is_pinned(self):
+        # the schema the epoch table derives: any change to a key's type, its
+        # requiredness or the summary's keys moves this digest
+        digest = hashlib.sha256(json.dumps(REPORT_SCHEMA, sort_keys=True).encode()).hexdigest()
+        assert digest == "a42c91082451f3eaf5eb30c02d47faff1e7b914826954e4691f19a8ca5c51de3"
+
     def test_every_epoch_key_has_one_rule(self, smoke_report):
         # a count must be summed: as a mean over the nets it would become a float
         properties = REPORT_SCHEMA["properties"]["epochs"]["items"]["properties"]

@@ -104,14 +104,13 @@ def unique_rank_auroc(id_scores, ood_scores):
     return float(u / (n_pos * n_neg))
 
 
-def unique_threshold_fpr(id_scores, ood_scores, tpr_target=0.95):
+def unique_threshold_fpr(id_scores, ood_scores):
     """FPR95 as `metrics.fpr_at_95_tpr` took it before: every unique observed
-    score as a threshold, the ID counts at or above each by `searchsorted`."""
+    score as a threshold, the ID counts at or above each by `searchsorted`, and
+    the TPR test in floating point."""
     thresholds = np.unique(np.concatenate([id_scores, ood_scores]))
     n_id_at_or_above = len(id_scores) - np.searchsorted(np.sort(id_scores), thresholds)
-    reached = np.flatnonzero(n_id_at_or_above / len(id_scores) >= tpr_target)
-    if len(reached) == 0:
-        return 1.0
+    reached = np.flatnonzero(n_id_at_or_above / len(id_scores) >= 0.95)
     return float((ood_scores >= thresholds[reached[-1]]).mean())
 
 
@@ -203,19 +202,21 @@ class TestFpr95:
                 best_t = t
         assert got == (ood_s >= best_t).mean()
 
-    @pytest.mark.parametrize("target", [-1.0, 0.0, 1e-9, 0.5, 0.95, 1.0, 1.5, 1 / 3, 0.7])
-    def test_equals_unique_threshold_formula_bitwise(self, target):
-        for seed in range(300):
+    def test_equals_unique_threshold_formula_bitwise(self):
+        # random ID sizes, then the sizes at which 95% of n is a whole count (k / n is
+        # exactly 0.95), among them ood-eval's 20,000 test rows
+        sizes = [None] * 300 + [20, 40, 60, 100, 380, 1000, 4000, 20_000]
+        for seed, size in enumerate(sizes):
             rng = np.random.default_rng(seed)
             n_pos, n_neg = rng.integers(1, 300, size=2)
+            n_pos = size or n_pos
             if seed % 3 == 0:
                 a, b = rng.normal(size=n_pos), rng.normal(0.5, 1.0, size=n_neg)
             elif seed % 3 == 1:  # ties within and across the sets
                 a, b = (rng.integers(0, 6, size=n).astype(float) for n in (n_pos, n_neg))
             else:  # every OOD score above every ID score, or the reverse
                 a, b = rng.normal(size=n_pos), rng.normal(size=n_neg) + rng.choice([-9.0, 9.0])
-            got = metrics.fpr_at_95_tpr(a, b, target)
-            assert got == unique_threshold_fpr(a, b, target), (seed, target)
+            assert metrics.fpr_at_95_tpr(a, b) == unique_threshold_fpr(a, b), (seed, n_pos)
 
     def test_peak_memory_at_most_half_the_unique_threshold_formula(self):
         rng = np.random.default_rng(0)
