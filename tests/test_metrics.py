@@ -202,9 +202,12 @@ class TestFpr95:
                 best_t = t
         assert got == (ood_s >= best_t).mean()
 
-    def test_equals_unique_threshold_formula_bitwise(self):
-        # random ID sizes, then the sizes at which 95% of n is a whole count (k / n is
-        # exactly 0.95), among them ood-eval's 20,000 test rows
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, 1e-9, 0.5, 0.95, 1.0, 1.5, 1 / 3, 0.7])
+    def test_equals_unique_threshold_formula_bitwise(self, scale):
+        # every score times `scale`: -1 reverses the order, 0 ties every score
+        # (signed zeros included), 1e-9 rounds neighbours together, the rest keep it.
+        # Random ID sizes, then the sizes at which 95% of n is a whole count (k / n
+        # is exactly 0.95), among them ood-eval's 20,000 test rows
         sizes = [None] * 300 + [20, 40, 60, 100, 380, 1000, 4000, 20_000]
         for seed, size in enumerate(sizes):
             rng = np.random.default_rng(seed)
@@ -216,6 +219,7 @@ class TestFpr95:
                 a, b = (rng.integers(0, 6, size=n).astype(float) for n in (n_pos, n_neg))
             else:  # every OOD score above every ID score, or the reverse
                 a, b = rng.normal(size=n_pos), rng.normal(size=n_neg) + rng.choice([-9.0, 9.0])
+            a, b = a * scale, b * scale
             assert metrics.fpr_at_95_tpr(a, b) == unique_threshold_fpr(a, b), (seed, n_pos)
 
     def test_peak_memory_at_most_half_the_unique_threshold_formula(self):
