@@ -164,8 +164,7 @@ def ood_scores(nets, inputs: np.ndarray, temperature: float = 1.0) -> np.ndarray
     """Negated mean energy across networks: higher = more in-distribution.
 
     The nets run on row blocks (`nn.in_row_blocks`), so only one block's
-    hidden layers are held at a time; for nets whose layers are all at least
-    2 wide the scores equal those of one unblocked pass bit for bit.
+    hidden layers are held at a time.
 
     ParameterError if some input rows overflow the nets to a non-finite score.
     """
@@ -709,18 +708,19 @@ def run_experiment(config: RunConfig, out_dir=None) -> RunReport:
     return Experiment(config).run(out_dir)
 
 
-SWEEP_GRIDS = ("vos", "sampler", "tau")
+#: each `noisylab ablate` grid: the named variants of a config that it compares,
+#: in the order `ablation.csv` lists them
+_SWEEP_VARIANTS = {
+    "vos": lambda config: [("vos_on", config.replace(disable_vos=False)),
+                           ("vos_off", config.replace(disable_vos=True))],
+    "sampler": lambda config: [(s, config.replace(sampler=s)) for s in geometry.SAMPLERS],
+    "tau": lambda config: [(f"tau_{s:g}x", config.replace(tau_auto=True, tau_auto_scale=s))
+                           for s in (0.5, 1.0, 1.5)],
+}
+SWEEP_GRIDS = tuple(_SWEEP_VARIANTS)
 
 
 def sweep_variants(grid: str, config: RunConfig) -> list[tuple[str, RunConfig]]:
-    """The named variants of config that one ablation grid compares, in the
-    order `noisylab ablate` writes them. ConfigError for an unknown grid."""
-    if grid == "vos":
-        return [("vos_on", config.replace(disable_vos=False)),
-                ("vos_off", config.replace(disable_vos=True))]
-    if grid == "sampler":
-        return [(s, config.replace(sampler=s)) for s in geometry.SAMPLERS]
-    if grid == "tau":
-        return [(f"tau_{s:g}x", config.replace(tau_auto=True, tau_auto_scale=s))
-                for s in (0.5, 1.0, 1.5)]
-    raise ConfigError(f"unknown sweep grid {grid!r}; choose from {SWEEP_GRIDS}")
+    """The named variants of config that one of SWEEP_GRIDS compares, in the
+    order `noisylab ablate` writes them."""
+    return _SWEEP_VARIANTS[grid](config)

@@ -109,7 +109,10 @@ class DenseNet:
                        for (w, shape, b), l in zip(self.layout, self.layers)]
 
     def __deepcopy__(self, memo):
-        return DenseNet(self.layers, self.extractor_end, self.classifier_end)  # packs a copy
+        """A net packing a copy of params, its layers viewing it. A default deepcopy
+        copies params and each layer view apart, so `sgd_step` on the copy would
+        not move its layers."""
+        return DenseNet(self.layers, self.extractor_end, self.classifier_end)
 
     @property
     def input_dim(self) -> int:
@@ -157,9 +160,8 @@ class ForwardCache:
     preacts: list[np.ndarray | None]
     features: np.ndarray
     logits: np.ndarray | None = None
-    projection_raw: np.ndarray | None = None
     projection: np.ndarray | None = None
-    projection_norms: np.ndarray | None = None  # row norms of projection_raw, 1.0 where degenerate
+    projection_norms: np.ndarray | None = None  # row norms of the raw projection, 1.0 where degenerate
     degenerate_rows: np.ndarray | None = None
 
 
@@ -223,9 +225,9 @@ def forward_batch(net: DenseNet, x: np.ndarray, *, want_logits: bool = True) -> 
 
 
 def _project(net: DenseNet, features: np.ndarray, cache: ForwardCache) -> None:
-    """The projector on features, its raw and unit outputs kept in cache."""
+    """The projector on features, its unit outputs kept in cache (its raw ones
+    are the last layer's pre-activations)."""
     raw = _run_segment(net, features, net.classifier_end, len(net.layers), cache)
-    cache.projection_raw = raw
     cache.projection, cache.degenerate_rows, cache.projection_norms = normalize_rows(raw)
 
 
@@ -250,28 +252,21 @@ def head_forward(net: DenseNet, features: np.ndarray, cache: ForwardCache | None
     return _run_segment(net, _as_rows(features), net.extractor_end, net.classifier_end, cache)
 
 
-#: the least rows of a block of a full-set pass (see `in_row_blocks`)
+#: the most rows of one block of a full-set pass (see `in_row_blocks`)
 SCORE_BLOCK_ROWS = 640
 
 
 def in_row_blocks(fn, *arrays: np.ndarray) -> np.ndarray:
     """fn(*arrays) for a row-wise fn, run on row blocks and concatenated.
 
-    The arrays are split alike into max(1, n // SCORE_BLOCK_ROWS) blocks of
-    SCORE_BLOCK_ROWS to 2 * SCORE_BLOCK_ROWS - 1 rows, so only one block's
-    temporaries (a net's hidden layers) are held at a time. Fewer than
-    2 * SCORE_BLOCK_ROWS rows are one call of fn on the arrays themselves.
-
-    For nets whose layers are all at least 2 wide, a blocked forward equals
-    one unblocked pass bit for bit. At 640 rows every product has
-    M * N >= 1280, past the M * N = 1200 where OpenBLAS (0.3.31) leaves its
-    small-matrix kernel, and the regular GEMM kernel's rows do not depend on
-    the row count. numpy sends a product with one output column to GEMV,
-    whose sums do depend on it, so on inputs of 2 * SCORE_BLOCK_ROWS rows or
-    more a net with a 1-wide layer agrees with one pass only to rounding
-    (about 1e-16 relative).
+    The arrays are split alike into ceil(n / SCORE_BLOCK_ROWS) near-equal
+    blocks of at most SCORE_BLOCK_ROWS rows, so only one block's temporaries
+    (a net's hidden layers) are held at a time. Up to SCORE_BLOCK_ROWS rows
+    are one call of fn on the arrays themselves. A blocked pass agrees with
+    one pass over all rows to rounding: BLAS may sum a row in another order
+    when the row count changes.
     """
-    n_blocks = len(arrays[0]) // SCORE_BLOCK_ROWS
+    n_blocks = -(-len(arrays[0]) // SCORE_BLOCK_ROWS)
     if n_blocks < 2:
         return fn(*arrays)
     return np.concatenate([fn(*block) for block in

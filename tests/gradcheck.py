@@ -82,7 +82,7 @@ def _preacts_clear_of_kinks(net, xs):
             if layer.activation == "relu" and cache.preacts[i] is not None:
                 if np.abs(cache.preacts[i]).min() < KINK_MARGIN:
                     return False
-        if np.linalg.norm(cache.projection_raw, axis=1).min() < 0.5:
+        if np.linalg.norm(cache.preacts[-1], axis=1).min() < 0.5:  # the raw projection
             return False
     return True
 

@@ -128,7 +128,7 @@ def backprop_logits(net, cache, dlogits, grad, into_extractor=True):
 
 
 def backprop_projection(net, cache, dproj, grad):
-    u, z = cache.projection_raw, cache.projection
+    u, z = cache.preacts[-1], cache.projection  # the projector's identity output, raw
     norms = np.linalg.norm(u, axis=1, keepdims=True)
     norms = np.where(norms < 1e-30, 1.0, norms)
     draw = (dproj - (dproj * z).sum(axis=1, keepdims=True) * z) / norms

@@ -133,11 +133,10 @@ UNREACHED = {
     ("harness.py", "_within_numpy_limits"): 1,  # a NoisylabError inside the block
     ("harness.py", "evaluate_ood"): 1,  # perfbench traces it
     ("harness.py", "Experiment._sgd_steps"): 1,  # a non-finite loss without a numpy error
-    ("harness.py", "sweep_variants"): 1,  # an unknown grid, which argparse rejects first
     ("metrics.py", "accuracy"): 2,  # shape and empty-input checks of the metrics
     ("metrics.py", "selection_metrics"): 2,
     ("metrics.py", "_score_pair"): 2,
-    ("nn.py", "DenseNet.__deepcopy__"): 1,
+    ("nn.py", "DenseNet.__deepcopy__"): 1,  # Python's copy protocol; src never copies a net
     ("nn.py", "_run_segment"): 1,  # shape invariants of the nets and batches
     ("nn.py", "normalize_rows"): 4,  # a zero projection row
     ("nn.py", "_backward_projection"): 1,

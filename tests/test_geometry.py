@@ -219,8 +219,9 @@ class TestFilter:
                 cents = geometry.CentroidSet(np.arange(k), rng.normal(size=(k, d)))
                 yield cents, rng.normal(size=(rows, d)) * rng.uniform(0.1, 10.0)
 
-    # the block edges of `nn.in_row_blocks`, then inputs of 3 to 15 blocks
-    @pytest.mark.parametrize("rows", [1, 639, 640, 1279, 1280, 2000, 4097, 10_000])
+    # the block edges of `nn.in_row_blocks` (one block up to 640 rows, two up to
+    # 1280), then inputs of 2 to 16 blocks
+    @pytest.mark.parametrize("rows", [1, 639, 640, 641, 1279, 1280, 1281, 2000, 4097, 10_000])
     def test_min_distances_match_per_centroid_oracle(self, rows):
         for cents, cand in self._fixtures(rows):
             expected = geometry_oracle.min_centroid_distances(cand, cents.centers)
@@ -228,7 +229,7 @@ class TestFilter:
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0,
                                        err_msg=f"{cents.centers.shape}")
 
-    @pytest.mark.parametrize("rows", [639, 640, 1279, 1280, 10_000])
+    @pytest.mark.parametrize("rows", [639, 640, 641, 1279, 1280, 1281, 10_000])
     def test_blocked_distances_equal_one_pass_bit_for_bit(self, rows):
         # a row's einsum sum does not depend on the rows beside it, so the
         # blocks give one unblocked pass's bits; the filter's accept counts

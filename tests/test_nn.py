@@ -92,6 +92,26 @@ class TestForward:
             nn.DenseNet(layers, 1, 2)
 
 
+class TestInRowBlocks:
+    @pytest.mark.parametrize("n", [1, 639, 640, 641, 1281, 20_000])
+    def test_blocks_of_at_most_score_block_rows(self, n):
+        calls = []
+
+        def record(rows, doubled):
+            calls.append(rows)
+            assert np.array_equal(doubled, 2 * rows)  # the arrays are split alike
+            return rows
+
+        rows = np.arange(n)
+        out = nn.in_row_blocks(record, rows, 2 * rows)
+        sizes = [len(c) for c in calls]
+        assert max(sizes) <= nn.SCORE_BLOCK_ROWS
+        assert len(calls) == -(-n // nn.SCORE_BLOCK_ROWS)  # one call up to 640 rows
+        assert max(sizes) - min(sizes) <= 1
+        assert np.array_equal(np.concatenate(calls), rows)  # every row once, in order
+        assert np.array_equal(out, rows)
+
+
 class TestProjection:
     def test_three_four_five_triangle(self):
         layers = [
