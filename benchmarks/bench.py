@@ -1,6 +1,7 @@
-"""Bench file for kernel performance claims: source trees side by side in one process.
+"""Bench file for kernel time and resident-memory claims: source trees side by side.
 
     python3 benchmarks/bench.py --out BENCH_<n>.json --src parent=DIR --src change=DIR
+    python3 benchmarks/bench.py --rss 10 --out BENCH_<n>.json --src parent=DIR --src change=DIR
 
 Each `--src LABEL=DIR` names a directory holding a noisylab package. All
 trees run in this one interpreter: BLAS and OpenMP are pinned to one
@@ -43,8 +44,21 @@ of its time divided by the first tree's in the same round, minus one
 (`ms`), and the number of rounds in which it was faster
 (`faster_rounds`). Measured against itself, a tree shows the tool's own
 noise there. Whole-run time is perfbench's (`train-default`,
-`train-novos`), not this tool's. Uses numpy and the standard library
-only.
+`train-novos`), not this tool's.
+
+With `--rss N` the tool times no kernel and measures resident memory
+instead: N pairs, each one fresh child interpreter per tree with one
+BLAS thread, the tree order rotating each pair. A child reports its
+`ru_maxrss` (MiB) after each of four phases, the steps of perfbench's
+two workloads: `setup`, `import noisylab.cli` plus
+`Experiment(RunConfig())`; `train`, one default `noisylab train --seed
+1`; `gen_data`, `noisylab gen-data` of perfbench's `ood-eval` CSVs
+(20k test rows, 1k rows per OOD file); and `ood_eval`, `noisylab
+ood-eval` of that run on those CSVs. The file's `rss` holds, per tree
+and phase, every pair's value and their median; and, for each later
+tree, the median per-pair difference from the first tree in MiB (`mib`)
+and the number of pairs in which it was lower (`lower_pairs`). Uses
+numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -55,6 +69,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -72,13 +87,57 @@ ROUNDS = 25
 BATCH_S = 0.05
 FREED_BLOCK_BYTES = 8 << 20
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+RSS_PHASES = ("setup", "train", "gen_data", "ood_eval")
+RSS_SEED = 1
+RSS_RUN_CONFIG: dict = {}  # the default run
+RSS_DATA_CONFIG = {"n_test": 20_000, "ood_n": 1000}  # perfbench's `ood-eval` CSVs
+# one child interpreter of --rss: ru_maxrss after each phase, as the last stdout line
+_RSS_CHILD = """\
+import contextlib, io, json, resource, sys
+from pathlib import Path
+
+sys.path.insert(0, {src!r})
+tmp, peaks = Path({tmp!r}), {{}}
+
+
+def phase(name):
+    peaks[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def cli(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([str(a) for a in argv])
+    if code != 0:
+        raise SystemExit(f"noisylab {{argv[0]}} exited {{code}}")
+
+
+from noisylab import RunConfig, harness
+from noisylab.cli import main
+
+harness.Experiment(RunConfig(**{run_config!r}))
+phase("setup")
+cli("train", "--config", tmp / "run.json", "--seed", {seed}, "--out-dir", tmp / "run")
+phase("train")
+cli("gen-data", "--config", tmp / "data.json", "--seed", {seed}, "--out-dir", tmp / "data")
+phase("gen_data")
+cli("ood-eval", "--run-dir", tmp / "run", "--id-csv", tmp / "data" / "test.csv",
+    "--ood-csv", tmp / "data" / "ood_far.csv", tmp / "data" / "ood_near.csv")
+phase("ood_eval")
+print(json.dumps(peaks))
+"""
+
+
+def _package(label: str, src: Path) -> Path:
+    """The __init__.py of the noisylab package in src; SystemExit if there is none."""
+    init = src / "noisylab" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"{label}: {src} holds no noisylab package")
+    return init
 
 
 def load_tree(label: str, src: Path):
     """The noisylab package in src, imported as its own package `noisylab@label`."""
-    init = src / "noisylab" / "__init__.py"
-    if not init.is_file():
-        raise SystemExit(f"{label}: {src} holds no noisylab package")
+    init = _package(label, src)
     name = f"noisylab@{label}"
     spec = importlib.util.spec_from_file_location(name, init,
                                                   submodule_search_locations=[str(init.parent)])
@@ -190,6 +249,56 @@ def _peak_mb(call) -> float:
         tracemalloc.stop()
 
 
+def rss_child(src: Path) -> dict:
+    """{phase: ru_maxrss in MiB after it} of one fresh interpreter on the tree in src."""
+    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "run.json").write_text(json.dumps(RSS_RUN_CONFIG))
+        (Path(tmp) / "data.json").write_text(json.dumps(RSS_DATA_CONFIG))
+        code = _RSS_CHILD.format(src=str(src), tmp=tmp, run_config=RSS_RUN_CONFIG,
+                                 seed=RSS_SEED)
+        done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp,
+                              capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"--rss child on {src} failed: {done.stderr.strip()}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def rss_pairs(trees: dict, pairs: int, child=rss_child) -> dict:
+    """{label: each pair's child(src)}; pair i runs the trees in their order rotated by i."""
+    labels = list(trees)
+    peaks = {label: [] for label in labels}
+    for pair in range(pairs):
+        shift = pair % len(labels)
+        for label in labels[shift:] + labels[:shift]:
+            peaks[label].append(child(trees[label]))
+    return peaks
+
+
+def rss_entry(peaks: dict) -> dict:
+    """The bench file's `rss`: per tree and phase each pair's MiB and their median;
+    per later tree and phase the median per-pair difference and the pairs it was lower."""
+    labels = list(peaks)
+    runs = {label: {phase: {"mib": [p[phase] for p in peaks[label]],
+                            "median_mib": statistics.median(p[phase] for p in peaks[label])}
+                    for phase in RSS_PHASES} for label in labels}
+    vs_first = {}
+    for label in labels[1:]:
+        vs_first[label] = {}
+        for phase in RSS_PHASES:
+            diffs = [a[phase] - b[phase] for a, b in zip(peaks[label], peaks[labels[0]])]
+            vs_first[label][phase] = {"mib": statistics.median(diffs),
+                                      "lower_pairs": sum(d < 0 for d in diffs)}
+    return {"pairs": len(peaks[labels[0]]), "seed": RSS_SEED, "run_config": RSS_RUN_CONFIG,
+            "data_config": RSS_DATA_CONFIG, "runs": runs, "vs_first": vs_first}
+
+
+def _positive(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive count, got {text!r}")
+    return int(text)
+
+
 def _tree(spec: str) -> tuple[str, Path]:
     label, sep, path = spec.partition("=")
     if not sep or not label or not path or "." in label:
@@ -203,6 +312,9 @@ def main(argv=None) -> int:
                         help="a tree to measure: a label and the directory holding its "
                              "noisylab package (repeat the flag; the first is the base)")
     parser.add_argument("--out", required=True, help="bench file to write")
+    parser.add_argument("--rss", type=_positive, metavar="N",
+                        help="measure each phase's resident peak in N pairs of fresh "
+                             "interpreters instead of timing the kernels")
     args = parser.parse_args(argv)
     labels = [label for label, _ in args.src]
     if len(set(labels)) != len(labels):
@@ -211,6 +323,20 @@ def main(argv=None) -> int:
     for var in THREAD_VARS:
         os.environ[var] = "1"  # BLAS reads it once, when numpy loads
     import numpy as np
+
+    if args.rss:
+        for label, src in args.src:
+            _package(label, src)  # one line if a tree holds no package
+        rss = rss_entry(rss_pairs(dict(args.src), args.rss))
+        Path(args.out).write_text(json.dumps({"environment": _environment(np), "rss": rss},
+                                             indent=2, sort_keys=True) + "\n")
+        for label in labels:
+            print(f"{label}: " + ", ".join(f"{phase} {e['median_mib']:.2f} MiB"
+                                           for phase, e in rss["runs"][label].items()))
+        for label, diffs in rss["vs_first"].items():
+            print(f"{label} vs {labels[0]} (MiB, lower pairs of {args.rss}): " + ", ".join(
+                f"{phase} {d['mib']:+.2f} {d['lower_pairs']}" for phase, d in diffs.items()))
+        return 0
 
     trees = {label: load_tree(label, src) for label, src in args.src}
     np.empty(FREED_BLOCK_BYTES, dtype=np.uint8)  # freed at once: see the docstring

@@ -43,7 +43,7 @@ class Envelope:
 
 @dataclass
 class CentroidSet:
-    class_ids: np.ndarray  # (c,), sorted as np.unique sorts them
+    class_ids: np.ndarray  # (c,), ascending
     centers: np.ndarray  # (c, d), row i the centroid of class_ids[i]
 
 
@@ -68,7 +68,7 @@ def class_centroids(features: np.ndarray, labels: np.ndarray) -> CentroidSet:
     labels = np.asarray(labels)
     if features.size == 0:
         raise EmptySupportError("no support features; skip geometry this epoch")
-    class_ids = np.unique(labels)
+    class_ids = np.flatnonzero(np.bincount(labels))  # labels are class indices
     centers = np.stack([features[labels == c].mean(axis=0) for c in class_ids])
     return CentroidSet(class_ids, centers)
 

@@ -2,8 +2,10 @@
 interpreter, and reach.py's statement lister."""
 
 import importlib.util
+import json
 import os
 import shutil
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -69,6 +71,42 @@ def test_a_directory_without_the_package_is_one_line(bench, clean_process, tmp_p
     message = str(exc.value.code)
     assert "empty" in message and str(tmp_path) in message and "\n" not in message
     assert "noisylab@empty" not in sys.modules
+
+
+def test_rss_pairs_rotate_the_tree_order(bench):
+    order = []
+    peaks = bench.rss_pairs({"a": "A", "b": "B", "c": "C"}, 4,
+                            lambda src: order.append(src) or {"setup": len(order)})
+    assert "".join(order) == "ABC" + "BCA" + "CAB" + "ABC"
+    assert peaks["a"] == [{"setup": 1}, {"setup": 6}, {"setup": 8}, {"setup": 10}]
+
+
+TINY_RSS = {"n_train": 120, "n_test": 40, "ood_n": 20, "warmup_epochs": 1, "total_epochs": 3,
+            "window": 1, "hidden_dims": [16, 8]}
+
+
+def test_rss_bench_file_on_a_tiny_config(bench, monkeypatch, tmp_path):
+    # two fresh interpreters, each through every phase on a tiny run and tiny CSVs
+    monkeypatch.setattr(bench, "RSS_RUN_CONFIG", TINY_RSS)
+    monkeypatch.setattr(bench, "RSS_DATA_CONFIG", dict(TINY_RSS, n_test=700))
+    for var in bench.THREAD_VARS:
+        monkeypatch.setenv(var, "1")  # main pins them; the fixture restores them
+    out = tmp_path / "bench.json"
+    assert bench.main(["--rss", "1", "--src", f"a={SRC}", "--src", f"b={SRC}",
+                       "--out", str(out)]) == 0
+    rss = json.loads(out.read_text())["rss"]
+    assert rss["pairs"] == 1 and rss["data_config"]["n_test"] == 700
+    assert set(rss["runs"]) == {"a", "b"} and set(rss["vs_first"]) == {"b"}
+    for runs in rss["runs"].values():
+        assert list(runs) == sorted(bench.RSS_PHASES)
+        mib = [runs[phase]["mib"][0] for phase in bench.RSS_PHASES]
+        assert mib == sorted(mib) and mib[0] > 10  # a peak never falls
+        assert all(runs[phase]["median_mib"] == runs[phase]["mib"][0] for phase in runs)
+    for phase, d in rss["vs_first"]["b"].items():
+        assert d["mib"] == rss["runs"]["b"][phase]["mib"][0] - rss["runs"]["a"][phase]["mib"][0]
+        assert d["lower_pairs"] == (d["mib"] < 0)
+    with pytest.raises(SystemExit):
+        bench.main(["--rss", "0", "--src", f"a={SRC}", "--out", str(out)])
 
 
 THREE_FUNCTIONS = '''\
@@ -163,3 +201,16 @@ def test_no_route_leaves_another_statement_unrun(reach, tmp_path):
     moved = {key: (counts[key], UNREACHED.get(key, 0))
              for key in counts.keys() | UNREACHED.keys() if counts[key] != UNREACHED.get(key, 0)}
     assert not moved, f"unrun statements, (now, pinned): {moved}; unrun lines: {missed}"
+
+
+def test_no_route_loads_numpy_ma(reach, tmp_path):
+    # np.percentile and np.unique import numpy.ma; no route may (a fresh interpreter,
+    # since this process's oracles load it)
+    code = (f"import sys; sys.path[:0] = [{str(SRC)!r}, {str(reach.ROOT / 'benchmarks')!r}]\n"
+            "from pathlib import Path\nimport reach\nfrom noisylab import cli\n"
+            f"reach.routes(cli.main, Path({str(tmp_path)!r}))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

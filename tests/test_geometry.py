@@ -60,8 +60,10 @@ class TestCentroids:
 
     def test_singleton_class(self):
         feats = np.array([[5.0, 5.0], [0.0, 0.0]])
-        cents = geometry.class_centroids(feats, np.array([1, 2]))
+        labels = np.array([1, 2])  # class 0 absent
+        cents = geometry.class_centroids(feats, labels)
         assert np.array_equal(cents.class_ids, [1, 2])
+        assert cents.class_ids.dtype == np.unique(labels).dtype
         assert np.allclose(cents.centers[0], [5.0, 5.0])
 
     def test_matches_summation_oracle(self):
@@ -70,6 +72,7 @@ class TestCentroids:
         labels = rng.integers(0, 5, size=300)
         cents = geometry.class_centroids(feats, labels)
         assert np.array_equal(cents.class_ids, np.unique(labels))
+        assert cents.class_ids.dtype == np.unique(labels).dtype
         for c, center in zip(cents.class_ids, cents.centers):
             rows = [feats[i] for i in range(300) if labels[i] == c]
             oracle = sum(rows) / len(rows)

@@ -117,6 +117,17 @@ class TestConfig:
         cfg = RunConfig.from_json(path)
         assert cfg.seed == 9 and cfg.sampler == "hybrid" and cfg.lambda_u == 5.0
 
+    @pytest.mark.parametrize("name", ["symmetric-0.4", "asymmetric-0.3", "asymmetric-0.4"])
+    def test_noise_overlays_set_only_the_noise(self, name):
+        # the three noise settings of README's proof (b), one file each
+        path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+        assert set(json.loads(path.read_text())) == {"noise_mode", "noise_rate"}
+        mode, rate = name.rsplit("-", 1)
+        cfg = RunConfig.from_json(path)
+        assert (cfg.noise_mode, cfg.noise_rate) == (mode, float(rate))
+        changed = {k for k, v in cfg.to_dict().items() if RunConfig().to_dict()[k] != v}
+        assert changed <= {"noise_mode", "noise_rate"}
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")

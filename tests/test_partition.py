@@ -34,6 +34,17 @@ def mixture_log_likelihood(x, means, variances, weights):
     return float(np.logaddexp(*per_comp).sum())
 
 
+def oracle_losses(rng, kind, n):
+    """n losses of one of four kinds: uniform, two modes, skewed, heavy ties."""
+    if kind == 0:
+        return rng.random(n)
+    if kind == 1:
+        return np.where(rng.random(n) < 0.6, rng.normal(0.1, 0.05, n), rng.normal(0.7, 0.1, n))
+    if kind == 2:
+        return rng.beta(0.5, 2.0, n)
+    return np.round(rng.random(n), 1)  # one decimal: heavy ties
+
+
 class TestFitGmm:
     def test_recovers_planted_means(self):
         gmm = partition.fit_gmm_1d(planted_mixture())
@@ -78,16 +89,7 @@ class TestFitGmm:
         rng = np.random.default_rng(17)
         sizes = [2, 3, 7, 8, 9, 16, 17] + [int(v) for v in rng.integers(10, 3000, 193)]
         for case, n in enumerate(sizes):
-            kind = case % 4
-            if kind == 0:
-                x = rng.random(n)
-            elif kind == 1:
-                x = np.where(rng.random(n) < 0.6, rng.normal(0.1, 0.05, n),
-                             rng.normal(0.7, 0.1, n))
-            elif kind == 2:
-                x = rng.beta(0.5, 2.0, n)
-            else:
-                x = np.round(rng.random(n), 1)  # one decimal: heavy ties
+            x = oracle_losses(rng, case % 4, n)
             max_iters = (1, 2, 5, 100)[(case // 4) % 4]
             got = partition.fit_gmm_1d(x, max_iters=max_iters)
             want = gmm_oracle.fit_gmm_1d(x, max_iters=max_iters)
@@ -102,6 +104,18 @@ class TestFitGmm:
                 want_p = gmm_oracle.clean_probability(want, values)
                 assert np.allclose(partition.clean_probability(got, values), want_p,
                                    rtol=0.0, atol=1e-12 * np.abs(want_p).max()), label
+
+    def test_start_means_are_numpys_percentiles_bit_for_bit(self):
+        # the start is np.percentile(x, [10, 90]) written out, so the fit keeps its bits
+        rng = np.random.default_rng(29)
+        cases = [oracle_losses(rng, kind, n) for n in [*range(2, 301), 2000] for kind in range(4)]
+        for n in (2, 3, 10, 11, 300, 2000):  # all but one equal, the odd one at each end
+            for odd in (0.0, 1.0):
+                cases.append(np.insert(np.full(n - 1, 0.5), int(rng.integers(n)), odd))
+        for x in cases:
+            want = np.percentile(x, [10.0, 90.0])
+            got = partition.fit_gmm_1d(x, max_iters=0).means
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (len(x), x)
 
     def test_all_equal_losses_degenerate(self):
         gmm = partition.fit_gmm_1d(np.full(20, 0.3))
