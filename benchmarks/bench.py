@@ -57,8 +57,16 @@ two workloads: `setup`, `import noisylab.cli` plus
 ood-eval` of that run on those CSVs. The file's `rss` holds, per tree
 and phase, every pair's value and their median; and, for each later
 tree, the median per-pair difference from the first tree in MiB (`mib`)
-and the number of pairs in which it was lower (`lower_pairs`). Uses
-numpy and the standard library only.
+and the number of pairs in which it was lower (`lower_pairs`).
+
+`ru_maxrss` also follows glibc's heap layout: a change can move it by a
+few tenths of a MiB from allocation order alone. So after the pairs one
+more child per tree runs the same phases with `tracemalloc` started
+before its first import, and `rss.tracemalloc_mb` holds, per tree and
+phase, the peak of the memory Python allocated during that phase (10^6
+bytes; the peak is reset after each phase). The `ru_maxrss` children
+stay untraced, since the traces themselves take memory. Uses numpy and
+the standard library only.
 """
 
 from __future__ import annotations
@@ -91,9 +99,10 @@ RSS_PHASES = ("setup", "train", "gen_data", "ood_eval")
 RSS_SEED = 1
 RSS_RUN_CONFIG: dict = {}  # the default run
 RSS_DATA_CONFIG = {"n_test": 20_000, "ood_n": 1000}  # perfbench's `ood-eval` CSVs
-# one child interpreter of --rss: ru_maxrss after each phase, as the last stdout line
+# one child interpreter of --rss: its `measure()` after each phase, as the last stdout line
 _RSS_CHILD = """\
-import contextlib, io, json, resource, sys
+{prelude}
+import contextlib, io, json, sys
 from pathlib import Path
 
 sys.path.insert(0, {src!r})
@@ -101,7 +110,7 @@ tmp, peaks = Path({tmp!r}), {{}}
 
 
 def phase(name):
-    peaks[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    peaks[name] = measure()
 
 
 def cli(*argv):
@@ -124,6 +133,27 @@ cli("ood-eval", "--run-dir", tmp / "run", "--id-csv", tmp / "data" / "test.csv",
     "--ood-csv", tmp / "data" / "ood_far.csv", tmp / "data" / "ood_near.csv")
 phase("ood_eval")
 print(json.dumps(peaks))
+"""
+
+# ru_maxrss in MiB; a traced child's is not read, since the traces live in the same heap
+_RSS_MEASURE = """\
+import resource
+
+
+def measure():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+"""
+# the tracemalloc peak since the last phase, in 10^6 bytes; started before any other import
+_TRACED_MEASURE = """\
+import tracemalloc
+
+tracemalloc.start()
+
+
+def measure():
+    peak = tracemalloc.get_traced_memory()[1] / 1e6
+    tracemalloc.reset_peak()
+    return peak
 """
 
 
@@ -249,13 +279,15 @@ def _peak_mb(call) -> float:
         tracemalloc.stop()
 
 
-def rss_child(src: Path) -> dict:
-    """{phase: ru_maxrss in MiB after it} of one fresh interpreter on the tree in src."""
+def rss_child(src: Path, traced: bool = False) -> dict:
+    """{phase: ru_maxrss in MiB after it} of one fresh interpreter on the tree in src;
+    traced, {phase: the tracemalloc peak of the phase in 10^6 bytes} instead."""
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "run.json").write_text(json.dumps(RSS_RUN_CONFIG))
         (Path(tmp) / "data.json").write_text(json.dumps(RSS_DATA_CONFIG))
-        code = _RSS_CHILD.format(src=str(src), tmp=tmp, run_config=RSS_RUN_CONFIG,
+        code = _RSS_CHILD.format(prelude=_TRACED_MEASURE if traced else _RSS_MEASURE,
+                                 src=str(src), tmp=tmp, run_config=RSS_RUN_CONFIG,
                                  seed=RSS_SEED)
         done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp,
                               capture_output=True, text=True)
@@ -275,9 +307,15 @@ def rss_pairs(trees: dict, pairs: int, child=rss_child) -> dict:
     return peaks
 
 
-def rss_entry(peaks: dict) -> dict:
+def rss_traced(trees: dict, child=rss_child) -> dict:
+    """{label: child(src, traced=True)}: one traced child per tree, run after the pairs."""
+    return {label: child(src, traced=True) for label, src in trees.items()}
+
+
+def rss_entry(peaks: dict, traced: dict) -> dict:
     """The bench file's `rss`: per tree and phase each pair's MiB and their median;
-    per later tree and phase the median per-pair difference and the pairs it was lower."""
+    per later tree and phase the median per-pair difference and the pairs it was lower;
+    per tree and phase the traced child's peak (`tracemalloc_mb`)."""
     labels = list(peaks)
     runs = {label: {phase: {"mib": [p[phase] for p in peaks[label]],
                             "median_mib": statistics.median(p[phase] for p in peaks[label])}
@@ -290,7 +328,8 @@ def rss_entry(peaks: dict) -> dict:
             vs_first[label][phase] = {"mib": statistics.median(diffs),
                                       "lower_pairs": sum(d < 0 for d in diffs)}
     return {"pairs": len(peaks[labels[0]]), "seed": RSS_SEED, "run_config": RSS_RUN_CONFIG,
-            "data_config": RSS_DATA_CONFIG, "runs": runs, "vs_first": vs_first}
+            "data_config": RSS_DATA_CONFIG, "runs": runs, "vs_first": vs_first,
+            "tracemalloc_mb": traced}
 
 
 def _positive(text: str) -> int:
@@ -327,7 +366,7 @@ def main(argv=None) -> int:
     if args.rss:
         for label, src in args.src:
             _package(label, src)  # one line if a tree holds no package
-        rss = rss_entry(rss_pairs(dict(args.src), args.rss))
+        rss = rss_entry(rss_pairs(dict(args.src), args.rss), rss_traced(dict(args.src)))
         Path(args.out).write_text(json.dumps({"environment": _environment(np), "rss": rss},
                                              indent=2, sort_keys=True) + "\n")
         for label in labels:
@@ -336,6 +375,9 @@ def main(argv=None) -> int:
         for label, diffs in rss["vs_first"].items():
             print(f"{label} vs {labels[0]} (MiB, lower pairs of {args.rss}): " + ", ".join(
                 f"{phase} {d['mib']:+.2f} {d['lower_pairs']}" for phase, d in diffs.items()))
+        for label, peaks in rss["tracemalloc_mb"].items():
+            print(f"{label} tracemalloc: " + ", ".join(f"{phase} {mb:.2f} MB"
+                                                       for phase, mb in peaks.items()))
         return 0
 
     trees = {label: load_tree(label, src) for label, src in args.src}

@@ -11,7 +11,8 @@ label given for a setting is its base. The tool runs nothing; it follows
 Bouthillier et al., "Accounting for Variance in Machine Learning
 Benchmarks" (MLSys 2021), and writes, per setting and tree:
 
-- `per_seed`: every metric of every seed, per variant;
+- `per_seed`: every metric of every seed, per variant (every column of
+  the CSV after `variant` and `seed` is a metric);
 - `means`: each metric's mean over the seeds, per variant;
 - `vos_gap`: per metric, the gap `vos_on - vos_off` of each seed, its
   mean with a 95% percentile bootstrap interval, and the number of seeds
@@ -19,9 +20,10 @@ Benchmarks" (MLSys 2021), and writes, per setting and tree:
 - `collapses`: per variant, the seeds whose far AUROC is below 0.5.
 
 and, per setting and later tree, `vs_base`: the paired change of each
-metric (tree minus base, per variant) with its interval, both trees'
-far-AUROC collapse counts, the number of CSV cells that differ, and
-`identical`, true when every cell of the CSV equals the base's as text.
+metric that both CSVs hold (tree minus base, per variant) with its
+interval, both trees' far-AUROC collapse counts, the number of CSV cells
+that differ, and `identical`, true when every cell of the CSV equals the
+base's as text.
 That flag is proof (b) of a rounding-only change (README,
 "Rounding-only changes").
 
@@ -41,8 +43,9 @@ from pathlib import Path
 
 import numpy as np
 
-METRICS = ("final_accuracy", "best_accuracy", "final_selection_f1", "far_auroc", "far_fpr95",
-           "near_auroc", "near_fpr95")
+#: the metrics that the collapse rule and the printed summary name; every column after
+#: `variant` and `seed` is a metric
+NAMED = ("final_accuracy", "final_selection_f1", "far_auroc", "near_auroc")
 VARIANTS = ("vos_on", "vos_off")
 RESAMPLES = 10_000
 COLLAPSE_BELOW = 0.5  # a far AUROC below chance
@@ -52,19 +55,24 @@ def read_ablation(path) -> list[list[str]]:
     """The CSV's cells as text, header first."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or rows[0][:2] != ["variant", "seed"] or not set(METRICS) <= set(rows[0]):
+    if not rows or rows[0][:2] != ["variant", "seed"] or not set(NAMED) <= set(rows[0]):
         raise SystemExit(f"{path}: not an ablation.csv of noisylab ablate")
     return rows
 
 
+def _metrics(rows: list[list[str]]) -> list[str]:
+    """The CSV's metric columns: every column after `variant` and `seed`."""
+    return rows[0][2:]
+
+
 def _table(rows: list[list[str]]) -> dict:
     """{variant: {seed: {metric: value}}} of an ablation CSV's rows."""
-    header = rows[0]
+    header, metrics = rows[0], _metrics(rows)
     table = {variant: {} for variant in VARIANTS}
     for row in rows[1:]:
         cells = dict(zip(header, row))
         if cells["variant"] in table:
-            table[cells["variant"]][int(cells["seed"])] = {m: float(cells[m]) for m in METRICS}
+            table[cells["variant"]][int(cells["seed"])] = {m: float(cells[m]) for m in metrics}
     return table
 
 
@@ -89,24 +97,26 @@ def _seeds(table: dict) -> list[int]:
 
 def summarize(rows: list[list[str]]) -> dict:
     """Per-seed values, means, the paired VOS gap and the collapses of one CSV."""
-    table = _table(rows)
+    table, metrics = _table(rows), _metrics(rows)
     seeds = _seeds(table)
     gap = {}
-    for m in METRICS:
+    for m in metrics:
         per_seed = [table["vos_on"][s][m] - table["vos_off"][s][m] for s in seeds]
         gap[m] = {**interval(per_seed), "per_seed": per_seed,
                   "vos_higher": sum(g > 0 for g in per_seed)}
     return {"seeds": seeds,
             "per_seed": {v: {str(s): table[v][s] for s in seeds} for v in VARIANTS},
-            "means": {v: {m: float(np.mean([table[v][s][m] for s in seeds])) for m in METRICS}
+            "means": {v: {m: float(np.mean([table[v][s][m] for s in seeds])) for m in metrics}
                       for v in VARIANTS},
             "vos_gap": gap,
             "collapses": {v: _collapses(table, v) for v in VARIANTS}}
 
 
 def compare(base_rows: list[list[str]], rows: list[list[str]]) -> dict:
-    """The paired change of a tree against the base tree on the same setting."""
+    """The paired change of a tree against the base tree on the same setting, over the
+    metric columns that both CSVs hold."""
     base, table = _table(base_rows), _table(rows)
+    shared = [m for m in _metrics(base_rows) if m in _metrics(rows)]
     seeds = _seeds(table)
     if seeds != _seeds(base):
         raise SystemExit("the trees' CSVs cover different seeds")
@@ -114,7 +124,7 @@ def compare(base_rows: list[list[str]], rows: list[list[str]]) -> dict:
     cells += abs(sum(map(len, base_rows)) - sum(map(len, rows)))
     return {"identical": base_rows == rows, "differing_cells": cells,
             "paired_change": {v: {m: interval([table[v][s][m] - base[v][s][m] for s in seeds])
-                                  for m in METRICS} for v in VARIANTS},
+                                  for m in shared} for v in VARIANTS},
             "collapses": {v: {"base": len(_collapses(base, v)), "this": len(_collapses(table, v))}
                           for v in VARIANTS}}
 

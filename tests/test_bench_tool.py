@@ -81,12 +81,31 @@ def test_rss_pairs_rotate_the_tree_order(bench):
     assert peaks["a"] == [{"setup": 1}, {"setup": 6}, {"setup": 8}, {"setup": 10}]
 
 
+def test_one_traced_child_per_tree_fills_tracemalloc_mb(bench):
+    calls = []
+
+    def child(src, traced=False):
+        calls.append((src, traced))
+        return {phase: (10.0 if traced else 40.0) + len(calls) for phase in bench.RSS_PHASES}
+
+    peaks = bench.rss_pairs({"a": "A", "b": "B"}, 2, child)
+    traced = bench.rss_traced({"a": "A", "b": "B"}, child)
+    assert calls == [("A", False), ("B", False), ("B", False), ("A", False),
+                     ("A", True), ("B", True)]
+    rss = bench.rss_entry(peaks, traced)
+    assert rss["tracemalloc_mb"] == {"a": dict.fromkeys(bench.RSS_PHASES, 15.0),
+                                     "b": dict.fromkeys(bench.RSS_PHASES, 16.0)}
+    assert rss["runs"]["a"]["setup"] == {"mib": [41.0, 44.0], "median_mib": 42.5}
+    assert rss["vs_first"]["b"]["setup"] == {"mib": 0.0, "lower_pairs": 1}
+
+
 TINY_RSS = {"n_train": 120, "n_test": 40, "ood_n": 20, "warmup_epochs": 1, "total_epochs": 3,
             "window": 1, "hidden_dims": [16, 8]}
 
 
 def test_rss_bench_file_on_a_tiny_config(bench, monkeypatch, tmp_path):
-    # two fresh interpreters, each through every phase on a tiny run and tiny CSVs
+    # four fresh interpreters, a pair and a traced one per tree, each through every
+    # phase on a tiny run and tiny CSVs
     monkeypatch.setattr(bench, "RSS_RUN_CONFIG", TINY_RSS)
     monkeypatch.setattr(bench, "RSS_DATA_CONFIG", dict(TINY_RSS, n_test=700))
     for var in bench.THREAD_VARS:
@@ -105,6 +124,10 @@ def test_rss_bench_file_on_a_tiny_config(bench, monkeypatch, tmp_path):
     for phase, d in rss["vs_first"]["b"].items():
         assert d["mib"] == rss["runs"]["b"][phase]["mib"][0] - rss["runs"]["a"][phase]["mib"][0]
         assert d["lower_pairs"] == (d["mib"] < 0)
+    # one traced child per tree: each phase's own peak, so none holds the whole process
+    for traced in rss["tracemalloc_mb"].values():
+        assert list(traced) == sorted(bench.RSS_PHASES)
+        assert all(0 < mb < rss["runs"]["a"]["setup"]["mib"][0] for mb in traced.values())
     with pytest.raises(SystemExit):
         bench.main(["--rss", "0", "--src", f"a={SRC}", "--out", str(out)])
 

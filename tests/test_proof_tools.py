@@ -150,3 +150,21 @@ class TestSeeds:
         entry = _summarize(seeds, tmp_path, _rows())
         assert entry["trees"]["parent"]["collapses"] == {"vos_on": [2], "vos_off": []}
         assert entry["vs_base"]["change"]["collapses"]["vos_on"] == {"base": 1, "this": 1}
+
+    def test_a_column_on_one_tree_only_is_that_tree_s_metric(self, seeds, tmp_path, capsys):
+        cells = ["fisher_ratio"] + ["0.5"] * 4 + ["0.25"] * 4  # vos_on rows, then vos_off
+        rows = [row + [cell] for row, cell in zip(_rows(), cells)]
+        entry = _summarize(seeds, tmp_path, rows)
+        change, parent = entry["trees"]["change"], entry["trees"]["parent"]
+        assert "fisher_ratio" not in parent["vos_gap"]
+        assert change["means"]["vos_on"]["fisher_ratio"] == 0.5
+        assert change["vos_gap"]["fisher_ratio"]["per_seed"] == [0.25] * 4
+        paired = entry["vs_base"]["change"]["paired_change"]["vos_on"]
+        assert sorted(paired) == sorted(HEADER[2:])
+        assert entry["vs_base"]["change"]["identical"] is False
+
+    def test_a_header_without_variant_and_seed_is_one_line(self, seeds, tmp_path):
+        path = _write(tmp_path / "bad.csv", [["seed", "variant"] + HEADER[2:]])
+        with pytest.raises(SystemExit) as exc:
+            seeds.read_ablation(path)
+        assert exc.value.code == f"{path}: not an ablation.csv of noisylab ablate"
